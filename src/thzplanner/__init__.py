@@ -36,10 +36,8 @@ from .optimizer import (
     apply_axis,
     assign_frequencies,
     brute_force_assignment,
-    check_edge_stability,
     minimize_rate_threshold,
     plan,
-    thread_count,
 )
 from .presets import (
     reference_radio,
@@ -76,69 +74,3 @@ from .simulator import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DEFAULT_ATTENUATION_FIT",
-    "FREQ_MAX_GHZ",
-    "FREQ_MIN_GHZ",
-    "SPEED_OF_LIGHT",
-    "SUPERMODULAR_FREQ_GHZ",
-    "FrequencyGrid",
-    "GaussianFit",
-    "RadioParams",
-    "achievable_distance",
-    "attenuation_crossover",
-    "attenuation_derivative",
-    "data_rate",
-    "gaseous_attenuation",
-    "link_budget_db",
-    "path_loss",
-    "supermodularity_gap",
-    "find_root",
-    "lambert_w",
-    "minimize_scalar",
-    "FEASIBLE",
-    "INFEASIBLE",
-    "UNCONSTRAINED",
-    "BruteForceResult",
-    "Plan",
-    "Scenario",
-    "UserPlan",
-    "apply_axis",
-    "assign_frequencies",
-    "brute_force_assignment",
-    "check_edge_stability",
-    "minimize_rate_threshold",
-    "plan",
-    "thread_count",
-    "reference_radio",
-    "reference_scenario",
-    "reference_task",
-    "single_user_scenario",
-    "strict_scenario",
-    "EdgeProfile",
-    "InfeasibleError",
-    "QosTarget",
-    "QueueRates",
-    "StabilityError",
-    "TaskProfile",
-    "UserProfile",
-    "edge_reliability",
-    "local_reliability",
-    "queue_rates",
-    "rate_threshold",
-    "rate_threshold_oracle",
-    "system_reliability",
-    "ScenarioFormatError",
-    "load_scenario",
-    "scenario_from_dict",
-    "ISOLATED",
-    "SHARED_EDGE",
-    "SimConfig",
-    "SimReport",
-    "SimUserReport",
-    "simulate_mm1_sojourn",
-    "simulate_system",
-    "simulate_user",
-    "__version__",
-]

@@ -29,6 +29,7 @@ from .channel import (
     supermodularity_gap,
 )
 from .optimizer import (
+    _BRUTE_FORCE_MAX_USERS,
     INFEASIBLE,
     FEASIBLE,
     Plan,
@@ -36,7 +37,6 @@ from .optimizer import (
     apply_axis,
     brute_force_assignment,
     plan,
-    _map_maybe_parallel,
 )
 from .reliability import (
     InfeasibleError,
@@ -200,7 +200,7 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
 
-    plans = _map_maybe_parallel(plan, cases)
+    plans = [plan(c) for c in cases]
     rows = []
     for value, result in zip(values, plans):
         n_bad = sum(1 for row in result.users if row.status == INFEASIBLE)
@@ -352,9 +352,10 @@ def _verify_assignment(scenario: Scenario, result: Plan, lines: List[str]) -> in
     if not rates:
         lines.append("note assignment check skipped: no rate-constrained users")
         return 0
-    if len(rates) > 9:
+    if len(rates) > _BRUTE_FORCE_MAX_USERS:
         lines.append(
-            f"note permutation check skipped: {len(rates)} users exceed brute-force cap of 9"
+            f"note permutation check skipped: {len(rates)} users exceed brute-force "
+            f"cap of {_BRUTE_FORCE_MAX_USERS}"
         )
         return 0
     heuristic_band = max(scenario.grid.freqs_ghz) > SUPERMODULAR_FREQ_GHZ

@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .channel import (
     DEFAULT_ATTENUATION_FIT,
@@ -38,7 +36,6 @@ from .reliability import (
     rate_threshold,
 )
 
-THREADS_ENV_VAR = "THZ_PLANNER_THREADS"
 # keeps the open interval (1 - mu_l/lambda, 1] open at its left end
 _BETA_EDGE_OFFSET = 1e-9
 _BRUTE_FORCE_MAX_USERS = 9
@@ -96,29 +93,6 @@ class Plan:
     warnings: Tuple[str, ...] = ()
 
 
-def thread_count() -> int:
-    """Worker threads for per-user and per-sweep-point work.
-
-    Unset defaults to 1; 0 means one thread per CPU.
-    """
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(1, n)
-
-
-def _map_maybe_parallel(fn: Callable, items: Sequence) -> List:
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
 def minimize_rate_threshold(scenario: Scenario, user_index: int) -> Tuple[float, float]:
     """Offloading share minimizing the user's rate requirement.
 
@@ -153,10 +127,6 @@ def minimize_rate_threshold(scenario: Scenario, user_index: int) -> Tuple[float,
         raise InfeasibleError(
             f"user {user_index}: no offloading share meets the reliability target"
         ) from exc
-    if not math.isfinite(rate_star):
-        raise InfeasibleError(
-            f"user {user_index}: no offloading share meets the reliability target"
-        )
     if rate_star <= 0.0:
         return 0.0, 0.0  # zero-traffic user: no link needed
     return beta_star, rate_star
@@ -267,9 +237,7 @@ def plan(scenario: Scenario, force_offload_all: bool = False) -> Plan:
     no-local-compute baseline.
     """
     k_users = len(scenario.users)
-    outcomes = _map_maybe_parallel(
-        lambda k: _plan_user(scenario, k, force_offload_all), range(k_users)
-    )
+    outcomes = [_plan_user(scenario, k, force_offload_all) for k in range(k_users)]
 
     constrained = [k for k in range(k_users) if outcomes[k][0] == FEASIBLE]
     free_riders = [k for k in range(k_users) if outcomes[k][0] == UNCONSTRAINED]
@@ -341,16 +309,6 @@ def plan(scenario: Scenario, force_offload_all: bool = False) -> Plan:
         forced_full_offload=force_offload_all,
         warnings=tuple(warnings),
     )
-
-
-def check_edge_stability(p: Plan, scenario: Scenario) -> bool:
-    """Strict check that planned offloaded load stays below edge capacity."""
-    load = sum(
-        row.beta * scenario.users[row.user_id].arrival_rate
-        for row in p.users
-        if row.status != INFEASIBLE
-    )
-    return load < scenario.edge.service_rate(scenario.task)
 
 
 SWEEP_AXES = ("f_m_cycles_per_s", "epsilon_s", "theta_th", "f_l_cycles_per_s")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 from .numerics import lambert_w, lambert_w_log_lower
 
@@ -199,8 +200,7 @@ def system_reliability(
 
 def _genuine_root_rate(
     mu_m: float,
-    offered: float,
-    edge_target: float,
+    log_lam: float,
     epsilon_s: float,
     mean_job_bits: float,
     lower_branch: bool,
@@ -211,19 +211,10 @@ def _genuine_root_rate(
     edge_target) / v, the condition becomes t e^t = -s e^(-s) with
     s = eps / Lam and t = -eps (u - v) - s.  t = -s solves it trivially
     (u = v, the spurious root); the genuine root sits on the principal
-    branch when s >= 1 and on the lower branch otherwise.  All logs are
-    taken before exponentiating so huge v * eps cannot overflow.
+    branch when s >= 1 and on the lower branch otherwise.  The caller
+    passes log Lam; all logs are taken before exponentiating so huge
+    v * eps cannot overflow.
     """
-    v = mu_m - offered
-    sup = -math.expm1(-v * epsilon_s)  # u -> inf limit of Phi_edge
-    diff = sup - edge_target
-    if diff <= 0.0:
-        raise InfeasibleError(
-            "edge reliability target {:.12g} is not reachable: ceiling is {:.12g}".format(
-                edge_target, sup
-            )
-        )
-    log_lam = v * epsilon_s + math.log(diff) - math.log(v)
     log_s = math.log(epsilon_s) - log_lam
 
     if not lower_branch:
@@ -244,21 +235,33 @@ def _genuine_root_rate(
     return (mu_m + w / epsilon_s + inv_lam) * mean_job_bits
 
 
-def _classify_branch(
-    mu_m: float, offered: float, edge_target: float, epsilon_s: float
-) -> bool:
-    """True when the genuine root lies on the lower W branch (Lam > eps)."""
-    v = mu_m - offered
-    sup = -math.expm1(-v * epsilon_s)
-    diff = sup - edge_target
-    if diff <= 0.0:
-        raise InfeasibleError(
-            "edge reliability target {:.12g} is not reachable: ceiling is {:.12g}".format(
-                edge_target, sup
-            )
+def _edge_target(
+    user: UserProfile,
+    task: TaskProfile,
+    edge: EdgeProfile,
+    qos: QosTarget,
+    beta: float,
+) -> Tuple[float, float, float, float]:
+    """(mu_m, offered load, stability floor rate, edge reliability target).
+
+    The setup shared by the closed form and the bisection oracle.  Raises
+    StabilityError when the edge or the local queue is unstable.  A
+    nonpositive edge target means the local share alone meets theta.
+    """
+    if not 0.0 < beta <= 1.0:
+        raise ValueError("rate threshold needs beta in (0, 1]")
+    offered = beta * user.arrival_rate
+    mu_m = edge.service_rate(task)
+    if mu_m - offered <= 0.0:
+        raise StabilityError(
+            f"edge queue unstable: mu_m - beta*lambda = {mu_m - offered:.6g} <= 0"
         )
-    log_lam = v * epsilon_s + math.log(diff) - math.log(v)
-    return log_lam > math.log(epsilon_s)
+    floor_rate = offered * task.mean_job_bits * (1.0 + STABILITY_MARGIN)
+    theta = qos.min_reliability
+    if beta < 1.0:
+        phi_l = local_reliability(user, task, beta, qos.delay_s)  # raises if unstable
+        return mu_m, offered, floor_rate, (theta - (1.0 - beta) * phi_l) / beta
+    return mu_m, offered, floor_rate, theta
 
 
 def rate_threshold(
@@ -277,32 +280,24 @@ def rate_threshold(
     When the local share alone already meets theta, the floor is returned
     without solving (any stable rate works).
     """
-    if not 0.0 < beta <= 1.0:
-        raise ValueError("rate threshold needs beta in (0, 1]")
-    eps = qos.delay_s
-    theta = qos.min_reliability
-    lam = user.arrival_rate
-    offered = beta * lam
-    mu_m = edge.service_rate(task)
-    if mu_m - offered <= 0.0:
-        raise StabilityError(
-            f"edge queue unstable: mu_m - beta*lambda = {mu_m - offered:.6g} <= 0"
-        )
-    floor_rate = offered * task.mean_job_bits * (1.0 + STABILITY_MARGIN)
-
-    if beta < 1.0:
-        phi_l = local_reliability(user, task, beta, eps)  # raises if unstable
-        edge_target = (theta - (1.0 - beta) * phi_l) / beta
-    else:
-        edge_target = theta
+    mu_m, offered, floor_rate, edge_target = _edge_target(user, task, edge, qos, beta)
     if edge_target <= 0.0:
         return floor_rate  # reliability already met locally
-
-    lower = _classify_branch(mu_m, offered, edge_target, eps)
-    for attempt, use_lower in enumerate((lower, not lower)):
-        candidate = _genuine_root_rate(
-            mu_m, offered, edge_target, eps, task.mean_job_bits, use_lower
+    eps = qos.delay_s
+    v = mu_m - offered
+    sup = -math.expm1(-v * eps)  # u -> inf limit of Phi_edge
+    diff = sup - edge_target
+    if diff <= 0.0:
+        raise InfeasibleError(
+            "edge reliability target {:.12g} is not reachable: ceiling is {:.12g}".format(
+                edge_target, sup
+            )
         )
+    log_lam = v * eps + math.log(diff) - math.log(v)
+    # the genuine root lies on the lower W branch when Lam > eps
+    lower = log_lam > math.log(eps)
+    for attempt, use_lower in enumerate((lower, not lower)):
+        candidate = _genuine_root_rate(mu_m, log_lam, eps, task.mean_job_bits, use_lower)
         candidate = max(candidate, floor_rate)
         if math.isinf(candidate):
             return candidate
@@ -310,7 +305,7 @@ def rate_threshold(
             phi = system_reliability(user, task, edge, beta, candidate, eps)
         except StabilityError:
             continue
-        if abs(phi - theta) <= _VERIFY_TOL:
+        if abs(phi - qos.min_reliability) <= _VERIFY_TOL:
             if attempt == 1:
                 logger.warning(
                     "rate threshold: primary W branch rejected, alternate verified "
@@ -337,26 +332,11 @@ def rate_threshold_oracle(
     Expands the bracket upward from the stability floor and raises
     InfeasibleError once the required rate exceeds 1e15 bit/s.
     """
-    if not 0.0 < beta <= 1.0:
-        raise ValueError("rate threshold needs beta in (0, 1]")
-    eps = qos.delay_s
-    theta = qos.min_reliability
-    lam = user.arrival_rate
-    offered = beta * lam
-    mu_m = edge.service_rate(task)
-    if mu_m - offered <= 0.0:
-        raise StabilityError(
-            f"edge queue unstable: mu_m - beta*lambda = {mu_m - offered:.6g} <= 0"
-        )
-    floor_rate = offered * task.mean_job_bits * (1.0 + STABILITY_MARGIN)
-
-    if beta < 1.0:
-        phi_l = local_reliability(user, task, beta, eps)
-        edge_target = (theta - (1.0 - beta) * phi_l) / beta
-    else:
-        edge_target = theta
+    mu_m, _, floor_rate, edge_target = _edge_target(user, task, edge, qos, beta)
     if edge_target <= 0.0:
         return floor_rate
+    eps = qos.delay_s
+    theta = qos.min_reliability
 
     def gap(rate: float) -> float:
         return system_reliability(user, task, edge, beta, rate, eps) - theta

@@ -177,7 +177,11 @@ def _trace_user(
     rate_bps: float,
     cfg: SimConfig,
 ) -> _UserTrace:
-    """Arrivals, split, local sojourns, and transmission departures."""
+    """Arrivals, split, local sojourns, and transmission departures.
+
+    Checks the stability of all three of the user's queues (local,
+    transmission, and a private edge queue) before drawing anything.
+    """
     lam = user.arrival_rate
     if lam <= 0.0:
         raise ValueError("simulation needs a positive arrival rate")
@@ -193,6 +197,9 @@ def _trace_user(
         raise StabilityError(
             f"user {user_id}: transmission queue unstable at beta={beta:.6g}"
         )
+    mu_m = edge.service_rate(task)
+    if beta > 0.0 and mu_m <= beta * lam:
+        raise StabilityError(f"user {user_id}: edge queue unstable at beta={beta:.6g}")
 
     n = cfg.n_jobs
     arrivals = np.cumsum(_stream(cfg.seed, user_id, _PH_ARRIVAL).exponential(1.0 / lam, n))
@@ -213,7 +220,7 @@ def _trace_user(
         tx_sojourn = _lindley_sojourn(arrivals[offloaded], tx_services)
         tx_departures = arrivals[offloaded] + tx_sojourn
         edge_services = _stream(cfg.seed, user_id, _PH_EDGE).exponential(
-            1.0 / edge.service_rate(task), n_off
+            1.0 / mu_m, n_off
         )
     else:
         tx_departures = np.empty(0)
@@ -285,8 +292,6 @@ def simulate_user(
 ) -> SimUserReport:
     """Single user against a private edge queue (the analytic model)."""
     trace = _trace_user(user_id, user, task, edge, beta, rate_bps, cfg)
-    if beta > 0.0 and edge.service_rate(task) <= beta * user.arrival_rate:
-        raise StabilityError(f"user {user_id}: edge queue unstable at beta={beta:.6g}")
     _finish_isolated(trace)
     return _report_row(user_id, user, task, edge, beta, rate_bps, qos, trace, cfg)
 
@@ -311,43 +316,30 @@ def simulate_system(
     if len(pairs) != len(p.users):
         raise ValueError("one (beta, rate) pair per user required")
 
-    mu_m = edge.service_rate(task)
-    if cfg.mode == SHARED_EDGE:
-        load = sum(b * scenario.users[row.user_id].arrival_rate
-                   for row, (b, _) in zip(p.users, pairs))
-        if load >= mu_m:
-            raise StabilityError(
-                f"shared edge overloaded: total offered load {load:.6g} >= {mu_m:.6g} jobs/s"
-            )
-    else:
-        for row, (b, _) in zip(p.users, pairs):
-            if b > 0.0 and mu_m <= b * scenario.users[row.user_id].arrival_rate:
-                raise StabilityError(
-                    f"user {row.user_id}: edge queue unstable at beta={b:.6g}"
-                )
-
-    traces = []
-    for row, (b, r) in zip(p.users, pairs):
-        traces.append(
-            _trace_user(row.user_id, scenario.users[row.user_id], task, edge, b, r, cfg)
-        )
     if cfg.mode == ISOLATED:
-        for t in traces:
-            _finish_isolated(t)
-    else:
-        _finish_shared(traces)
+        rows = tuple(
+            simulate_user(
+                scenario.users[row.user_id], task, edge, b, r, qos, cfg, user_id=row.user_id
+            )
+            for row, (b, r) in zip(p.users, pairs)
+        )
+        return SimReport(mode=cfg.mode, seed=cfg.seed, n_jobs=cfg.n_jobs, users=rows)
 
+    mu_m = edge.service_rate(task)
+    load = sum(b * scenario.users[row.user_id].arrival_rate
+               for row, (b, _) in zip(p.users, pairs))
+    if load >= mu_m:
+        raise StabilityError(
+            f"shared edge overloaded: total offered load {load:.6g} >= {mu_m:.6g} jobs/s"
+        )
+    traces = [
+        _trace_user(row.user_id, scenario.users[row.user_id], task, edge, b, r, cfg)
+        for row, (b, r) in zip(p.users, pairs)
+    ]
+    _finish_shared(traces)
     rows = tuple(
         _report_row(
-            row.user_id,
-            scenario.users[row.user_id],
-            task,
-            edge,
-            b,
-            r,
-            qos,
-            trace,
-            cfg,
+            row.user_id, scenario.users[row.user_id], task, edge, b, r, qos, trace, cfg
         )
         for row, (b, r), trace in zip(p.users, pairs, traces)
     )

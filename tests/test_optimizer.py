@@ -25,7 +25,6 @@ from thzplanner import (
     apply_axis,
     assign_frequencies,
     brute_force_assignment,
-    check_edge_stability,
     minimize_rate_threshold,
     plan,
     rate_threshold,
@@ -225,27 +224,26 @@ class TestPlan:
 
 class TestEdgeStability:
     def test_reference_is_stable(self):
-        assert check_edge_stability(plan(REF), REF)
+        assert plan(REF).edge_stable
+
+    @staticmethod
+    def _forced_pair(arrival_rate):
+        # two fully offloading users against the reference mu_m = 2000 jobs/s
+        user = UserProfile(arrival_rate=arrival_rate, local_cpu_hz=1.0e9)
+        return plan(dataclasses.replace(REF, users=(user, user)), force_offload_all=True)
 
     def test_boundary_is_not_stable(self):
         # offered load exactly mu_m must count as unstable (strict <)
-        p = plan(REF)
-        mu_m = REF.edge.service_rate(REF.task)
-        lam = sum(u.arrival_rate for u in REF.users)
-        scale = mu_m / lam
-        users = tuple(
-            dataclasses.replace(u, arrival_rate=u.arrival_rate * scale)
-            for u in REF.users
-        )
-        sc = dataclasses.replace(REF, users=users)
-        forced = dataclasses.replace(
-            p,
-            users=tuple(
-                dataclasses.replace(r, beta=1.0, user_id=r.user_id)
-                for r in p.users
-            ),
-        )
-        assert not check_edge_stability(forced, sc)
+        assert REF.edge.service_rate(REF.task) == 2000.0
+        p = self._forced_pair(1000.0)
+        assert all(row.status == FEASIBLE for row in p.users)
+        assert not p.edge_stable
+        assert any("capacity" in w for w in p.warnings)
+
+    def test_just_below_boundary_is_stable(self):
+        p = self._forced_pair(999.0)
+        assert all(row.status == FEASIBLE for row in p.users)
+        assert p.edge_stable
 
 
 class TestApplyAxis:
@@ -273,26 +271,6 @@ class TestApplyAxis:
     def test_original_untouched(self):
         apply_axis(REF, "epsilon_s", 0.5)
         assert REF.qos.delay_s == 0.08
-
-
-class TestThreadCount:
-    def test_default_and_env(self, monkeypatch):
-        monkeypatch.delenv(tp.optimizer.THREADS_ENV_VAR, raising=False)
-        assert tp.thread_count() == 1
-        monkeypatch.setenv(tp.optimizer.THREADS_ENV_VAR, "4")
-        assert tp.thread_count() == 4
-        monkeypatch.setenv(tp.optimizer.THREADS_ENV_VAR, "0")  # 0 means auto
-        assert tp.thread_count() >= 1
-        monkeypatch.setenv(tp.optimizer.THREADS_ENV_VAR, "lots")
-        with pytest.raises(ValueError):
-            tp.thread_count()
-
-    def test_parallel_plan_matches_serial(self, monkeypatch):
-        monkeypatch.setenv(tp.optimizer.THREADS_ENV_VAR, "4")
-        p_par = plan(REF)
-        monkeypatch.setenv(tp.optimizer.THREADS_ENV_VAR, "1")
-        p_ser = plan(REF)
-        assert p_par == p_ser
 
 
 class TestScenarioValidation:

@@ -114,6 +114,17 @@ class TestTraceStreams:
             # tx rate 10 jobs/s below the offered 0.9 * 20
             _trace_user(0, user, TASK, edge, 0.9, 8.0e7, cfg)
 
+    def test_edge_overload_refused_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("random stream opened before the stability check")
+
+        monkeypatch.setattr(tp.simulator, "_stream", no_draws)
+        cfg = SimConfig(n_jobs=1000, warmup=10, seed=0)
+        user = UserProfile(arrival_rate=20.0, local_cpu_hz=1.0e9)
+        tiny_edge = EdgeProfile(cpu_hz=1.5e8)  # mu_m = 15 < 0.9 * 20
+        with pytest.raises(StabilityError, match="edge queue"):
+            _trace_user(0, user, TASK, tiny_edge, 0.9, 2.0e9, cfg)
+
 
 class TestSimulateUser:
     USER = UserProfile(arrival_rate=10.0, local_cpu_hz=5.0e8)  # mu_l = 50
@@ -192,6 +203,15 @@ class TestSimulateSystem:
         cfg = SimConfig(n_jobs=10_000, warmup=100, seed=0, mode=SHARED_EDGE)
         overrides = [(1.0, row.rate_bps) for row in p.users]
         with pytest.raises(StabilityError):
+            simulate_system(p, tiny, cfg, overrides=overrides)
+
+    def test_isolated_edge_overload_refused(self):
+        sc = tp.reference_scenario()
+        p = tp.plan(sc)
+        tiny = tp.apply_axis(sc, "f_m_cycles_per_s", 1.0e8)  # mu_m = 10 jobs/s
+        cfg = SimConfig(n_jobs=10_000, warmup=100, seed=0)
+        overrides = [(1.0, row.rate_bps) for row in p.users]
+        with pytest.raises(StabilityError, match="edge queue unstable"):
             simulate_system(p, tiny, cfg, overrides=overrides)
 
     def test_infeasible_plan_refused(self):
