@@ -194,6 +194,9 @@ def cmd_sweep(args) -> int:
     if not values:
         print("error: --values is empty", file=sys.stderr)
         return _EXIT_INPUT
+    if not all(math.isfinite(v) for v in values):
+        print(f"error: --values must be finite numbers: {args.values!r}", file=sys.stderr)
+        return _EXIT_INPUT
     try:
         cases = [apply_axis(scenario, args.axis, v) for v in values]
     except ValueError as exc:

@@ -1,8 +1,8 @@
 """Scenario files: strict YAML schema for planning inputs.
 
 The file mirrors the Scenario dataclass section by section.  Validation is
-deliberately unforgiving: unknown keys, missing keys, or non-numeric values
-fail with the dotted path of the offending entry, since a silently ignored
+deliberately unforgiving: unknown keys, missing keys, or non-numeric or
+non-finite values fail with the dotted path of the offending entry, since a silently ignored
 typo in a QoS target would invalidate a whole study.  Note YAML 1.1 floats
 in scientific notation need a decimal point and a signed exponent (write
 8.0e+6); plain 8e6 parses as a string and is rejected here with a hint.
@@ -11,6 +11,7 @@ in scientific notation need a decimal point and a signed exponent (write
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import yaml
@@ -48,7 +49,8 @@ def _reject_unknown(node: Mapping, allowed: Sequence[str], path: str) -> None:
             )
 
 
-def _scalar_number(value: Any, path: str) -> float:
+def _scalar_number(value: Any, path: str, allow_inf: bool = False) -> float:
+    """value as a float; NaN and infinities are rejected unless allow_inf (+inf only)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         hint = ""
         if isinstance(value, str):
@@ -57,13 +59,19 @@ def _scalar_number(value: Any, path: str) -> float:
                 " write 8.0e+6, not 8e6)"
             )
         raise ScenarioFormatError(f"{path}: expected a number, got {value!r}{hint}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf  # an integer beyond float range
+    if math.isnan(number) or (math.isinf(number) and not (allow_inf and number > 0.0)):
+        raise ScenarioFormatError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
-def _number(node: Mapping, key: str, path: str) -> float:
+def _number(node: Mapping, key: str, path: str, allow_inf: bool = False) -> float:
     if key not in node:
         raise ScenarioFormatError(f"{path}.{key}: missing required key")
-    return _scalar_number(node[key], f"{path}.{key}")
+    return _scalar_number(node[key], f"{path}.{key}", allow_inf)
 
 
 def _section(data: Mapping, key: str) -> Mapping:
@@ -166,7 +174,8 @@ def scenario_from_dict(data: Mapping) -> Scenario:
     if "caps" in data:
         sec = _require_mapping(data["caps"], "caps")
         _reject_unknown(sec, _CAPS_KEYS, "caps")
-        max_distance_m = _number(sec, "max_distance_m", "caps")
+        # .inf is the same as no cap
+        max_distance_m = _number(sec, "max_distance_m", "caps", allow_inf=True)
 
     kwargs: Dict[str, Any] = dict(
         task=task,

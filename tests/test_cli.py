@@ -127,6 +127,51 @@ class TestLoadScenario:
         with pytest.raises(ScenarioFormatError):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, 10**400],
+        ids=["nan", "inf", "-inf", "int_overflow"],
+    )
+    def test_non_finite_numbers_rejected_with_path(self, bad):
+        import yaml
+
+        for section, key, path in [
+            ("qos", "epsilon_s", "qos.epsilon_s"),
+            ("edge", "f_m_cycles_per_s", "edge.f_m_cycles_per_s"),
+            ("users", "lambda_jobs_per_s", "users[0].lambda_jobs_per_s"),
+            ("grid", "freqs_ghz", "grid.freqs_ghz[1]"),
+        ]:
+            data = yaml.safe_load(MINIMAL_YAML)
+            if section == "users":
+                data["users"][0][key] = bad
+            elif section == "grid":
+                data["grid"]["freqs_ghz"][1] = bad
+            else:
+                data[section][key] = bad
+            with pytest.raises(ScenarioFormatError, match=re.escape(path) + ": .*finite"):
+                scenario_from_dict(data)
+
+    def test_infinite_distance_cap_means_no_cap(self, tmp_path):
+        path = tmp_path / "cap.yaml"
+        path.write_text(MINIMAL_YAML + "caps: {max_distance_m: .inf}\n")
+        assert math.isinf(load_scenario(str(path)).max_distance_m)
+        for bad in (".nan", "-.inf"):
+            path.write_text(MINIMAL_YAML + f"caps: {{max_distance_m: {bad}}}\n")
+            with pytest.raises(ScenarioFormatError, match="caps.max_distance_m"):
+                load_scenario(str(path))
+
+    @pytest.mark.parametrize("edit", [
+        ("epsilon_s: 8.0e-2", "epsilon_s: .nan"),
+        ("epsilon_s: 8.0e-2", "epsilon_s: .inf"),
+        ("f_m_cycles_per_s: 2.0e+10", "f_m_cycles_per_s: .inf"),
+        ("lambda_jobs_per_s: 1.0e+1", "lambda_jobs_per_s: .nan"),
+    ])
+    def test_non_finite_scenario_exits_1(self, tmp_path, capsys, edit):
+        path = tmp_path / "bad.yaml"
+        path.write_text(MINIMAL_YAML.replace(*edit))
+        rc = cli.main(["plan", str(path), "-o", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
+
 
 class TestPlanCommand:
     def test_reference(self, tmp_path, capsys):
@@ -221,6 +266,12 @@ class TestSweepCommand:
             "--values", ",", "-o", str(tmp_path / "x.csv"),
         ])
         assert rc == 1
+        for bad in ("nan", "inf", "2.0e10,-inf", "1e400"):
+            rc = cli.main([
+                "sweep", REFERENCE, "--axis", "f_m",
+                "--values", bad, "-o", str(tmp_path / "x.csv"),
+            ])
+            assert rc == 1, bad
 
 
 class TestSimulateCommand:
