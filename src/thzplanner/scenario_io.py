@@ -49,8 +49,7 @@ def _reject_unknown(node: Mapping, allowed: Sequence[str], path: str) -> None:
             )
 
 
-def _scalar_number(value: Any, path: str, allow_inf: bool = False) -> float:
-    """value as a float; NaN and infinities are rejected unless allow_inf (+inf only)."""
+def _scalar_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         hint = ""
         if isinstance(value, str):
@@ -63,15 +62,15 @@ def _scalar_number(value: Any, path: str, allow_inf: bool = False) -> float:
         number = float(value)
     except OverflowError:
         number = math.inf  # an integer beyond float range
-    if math.isnan(number) or (math.isinf(number) and not (allow_inf and number > 0.0)):
+    if not math.isfinite(number):
         raise ScenarioFormatError(f"{path}: expected a finite number, got {value!r}")
     return number
 
 
-def _number(node: Mapping, key: str, path: str, allow_inf: bool = False) -> float:
+def _number(node: Mapping, key: str, path: str) -> float:
     if key not in node:
         raise ScenarioFormatError(f"{path}.{key}: missing required key")
-    return _scalar_number(node[key], f"{path}.{key}", allow_inf)
+    return _scalar_number(node[key], f"{path}.{key}")
 
 
 def _section(data: Mapping, key: str) -> Mapping:
@@ -174,8 +173,9 @@ def scenario_from_dict(data: Mapping) -> Scenario:
     if "caps" in data:
         sec = _require_mapping(data["caps"], "caps")
         _reject_unknown(sec, _CAPS_KEYS, "caps")
-        # .inf is the same as no cap
-        max_distance_m = _number(sec, "max_distance_m", "caps", allow_inf=True)
+        # .inf is the same as no cap, the default
+        if sec.get("max_distance_m") != max_distance_m:
+            max_distance_m = _number(sec, "max_distance_m", "caps")
 
     kwargs: Dict[str, Any] = dict(
         task=task,
