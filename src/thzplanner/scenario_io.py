@@ -2,10 +2,11 @@
 
 The file mirrors the Scenario dataclass section by section.  Validation is
 deliberately unforgiving: unknown keys, missing keys, or non-numeric or
-non-finite values fail with the dotted path of the offending entry, since a silently ignored
-typo in a QoS target would invalidate a whole study.  Note YAML 1.1 floats
-in scientific notation need a decimal point and a signed exponent (write
-8.0e+6); plain 8e6 parses as a string and is rejected here with a hint.
+non-finite values fail with the dotted path of the offending entry, since a
+silently ignored typo in a QoS target would invalidate a whole study.  Note
+YAML 1.1 floats in scientific notation need a decimal point and a signed
+exponent (write 8.0e+6); plain 8e6 parses as a string and is rejected here
+with a hint.
 """
 
 from __future__ import annotations

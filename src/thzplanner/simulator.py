@@ -179,8 +179,8 @@ def _trace_user(
 ) -> _UserTrace:
     """Arrivals, split, local sojourns, and transmission departures.
 
-    Checks the stability of all three of the user's queues (local,
-    transmission, and a private edge queue) before drawing anything.
+    Checks the user's local, transmission and edge queues for stability
+    (the edge against this user's load alone) before drawing anything.
     """
     lam = user.arrival_rate
     if lam <= 0.0:
