@@ -17,19 +17,14 @@ analytically here and cross-checked by bisection in the tests.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Tuple
 
 from .numerics import lambert_w, lambert_w_log_lower
 
-logger = logging.getLogger(__name__)
-
 # relative safety margin applied to the queue-stability rate floor
 STABILITY_MARGIN = 1e-6
-# closed form and direct evaluation must agree on reliability this tightly
-_VERIFY_TOL = 1e-8
 # u and v closer than this (relative) use the equal-rates limit
 _DEGENERATE_RTOL = 1e-9
 
@@ -200,39 +195,34 @@ def system_reliability(
 
 def _genuine_root_rate(
     mu_m: float,
-    log_lam: float,
+    offered: float,
+    diff: float,
     epsilon_s: float,
     mean_job_bits: float,
-    lower_branch: bool,
 ) -> float:
-    """Rate solving Phi_edge = edge_target, picking the requested W branch.
+    """Rate solving Phi_edge = sup - diff, the genuine Lambert W root.
 
-    Writing v = mu_m - offered and Lam = e^(v eps) (1 - e^(-v eps) -
-    edge_target) / v, the condition becomes t e^t = -s e^(-s) with
-    s = eps / Lam and t = -eps (u - v) - s.  t = -s solves it trivially
-    (u = v, the spurious root); the genuine root sits on the principal
-    branch when s >= 1 and on the lower branch otherwise.  The caller
-    passes log Lam; all logs are taken before exponentiating so huge
-    v * eps cannot overflow.
+    Writing v = mu_m - offered and Lam = e^(v eps) diff / v, the condition
+    becomes w e^w = -s e^(-s) with s = eps / Lam and w = -eps (v - u) - s.
+    w = -s solves it trivially (u = v, the spurious root); the genuine root
+    sits on the principal branch when s >= 1 and on the lower branch
+    otherwise.  All logs are taken before exponentiating so huge v * eps
+    cannot overflow.
     """
+    v = mu_m - offered
+    log_lam = v * epsilon_s + math.log(diff) - math.log(v)
     log_s = math.log(epsilon_s) - log_lam
-
-    if not lower_branch:
-        # s >= 1 expected here; W0 of -s e^(-s)
-        if log_s > 700.0:
-            return math.inf  # required rate beyond representable range
-        s = math.exp(log_s)
-        m = -s * math.exp(-s) if s < 745.0 else -0.0
-        w = lambert_w(m, 0) if m != 0.0 else 0.0
-        inv_lam = s / epsilon_s
-    else:
-        s = math.exp(log_s)  # in (0, 1) when branches are classified right
-        if log_s < -690.0:
-            w = lambert_w_log_lower(log_s - s)
-        else:
-            w = lambert_w(-s * math.exp(-s), -1)
-        inv_lam = math.exp(-log_lam)
-    return (mu_m + w / epsilon_s + inv_lam) * mean_job_bits
+    if log_s > 700.0:
+        return math.inf  # required rate beyond representable range
+    s = math.exp(log_s)
+    if log_s < -690.0:
+        # W's argument underflows, and w ~ -v eps would cancel in
+        # mu_m + w / eps.  w + log(-w) = log s - s gives x = u eps directly.
+        w = lambert_w_log_lower(log_s - s)
+        x = math.log(v * epsilon_s) - math.log(diff) - math.log(-w)
+        return (offered + x / epsilon_s) * mean_job_bits
+    w = lambert_w(-s * math.exp(-s), 0 if log_s >= 0.0 else -1)
+    return (mu_m + (w + s) / epsilon_s) * mean_job_bits
 
 
 def _edge_target(
@@ -273,19 +263,16 @@ def rate_threshold(
 ) -> float:
     """Minimum transmission rate (bit/s) meeting the reliability target.
 
-    Solves Phi(beta, R) = theta for R in closed form via Lambert W, then
-    verifies the root by direct evaluation; on disagreement the other branch
-    is tried and, failing that, the result comes from bisection (logged).
-    Always at least the stability floor beta * lambda * L_a * (1 + 1e-6).
-    When the local share alone already meets theta, the floor is returned
-    without solving (any stable rate works).
+    Solves Phi(beta, R) = theta for R in closed form via Lambert W.  Always
+    at least the stability floor beta * lambda * L_a * (1 + 1e-6).  When the
+    local share alone already meets theta, the floor is returned without
+    solving (any stable rate works).
     """
     mu_m, offered, floor_rate, edge_target = _edge_target(user, task, edge, qos, beta)
     if edge_target <= 0.0:
         return floor_rate  # reliability already met locally
     eps = qos.delay_s
-    v = mu_m - offered
-    sup = -math.expm1(-v * eps)  # u -> inf limit of Phi_edge
+    sup = -math.expm1(-(mu_m - offered) * eps)  # u -> inf limit of Phi_edge
     diff = sup - edge_target
     if diff <= 0.0:
         raise InfeasibleError(
@@ -293,30 +280,8 @@ def rate_threshold(
                 edge_target, sup
             )
         )
-    log_lam = v * eps + math.log(diff) - math.log(v)
-    # the genuine root lies on the lower W branch when Lam > eps
-    lower = log_lam > math.log(eps)
-    for attempt, use_lower in enumerate((lower, not lower)):
-        candidate = _genuine_root_rate(mu_m, log_lam, eps, task.mean_job_bits, use_lower)
-        candidate = max(candidate, floor_rate)
-        if math.isinf(candidate):
-            return candidate
-        try:
-            phi = system_reliability(user, task, edge, beta, candidate, eps)
-        except StabilityError:
-            continue
-        if abs(phi - qos.min_reliability) <= _VERIFY_TOL:
-            if attempt == 1:
-                logger.warning(
-                    "rate threshold: primary W branch rejected, alternate verified "
-                    "(beta=%.6g)", beta
-                )
-            return candidate
-    logger.warning(
-        "rate threshold: closed form failed verification at beta=%.6g; "
-        "falling back to bisection", beta
-    )
-    return rate_threshold_oracle(user, task, edge, qos, beta)
+    root = _genuine_root_rate(mu_m, offered, diff, eps, task.mean_job_bits)
+    return max(root, floor_rate)
 
 
 def rate_threshold_oracle(

@@ -39,6 +39,18 @@ users:
   - {lambda_jobs_per_s: 1.0e+2, f_l_cycles_per_s: 2.0e+9}
 """
 
+# slow local CPU and a huge edge headroom (v eps ~ 1e12): the rate comes
+# from the log-domain W branch
+LOG_DOMAIN_YAML = """\
+task: {L_a_bits: 1.0e+4, mu_a_cycles: 1.0e+5}
+radio: {B_hz: 1.0e+10, p_w: 1.0e-1, gt_dbi: 2.0e+1, gr_dbi: 2.0e+1, noise_dbm: -4.0e+1}
+edge: {f_m_cycles_per_s: 1.0e+16}
+qos: {epsilon_s: 1.0e+1, theta_th: 9.9999e-1}
+grid: {freqs_ghz: [1.5e+2]}
+users:
+  - {lambda_jobs_per_s: 1.0e-1, f_l_cycles_per_s: 1.0e+3}
+"""
+
 
 def read_csv(path):
     with open(path, encoding="utf-8") as fh:
@@ -349,6 +361,17 @@ class TestVerifyCommand:
         # ten users exceed the 9-user permutation cap
         assert "permutation check skipped" in out
         assert "mixed differences positive" in out
+
+    def test_log_domain_user_passes(self, tmp_path, capsys):
+        path = tmp_path / "log_domain.yaml"
+        path.write_text(LOG_DOMAIN_YAML)
+        assert cli.main(["verify", str(path)]) == 0
+        assert "rate thresholds match" in capsys.readouterr().out
+        out = tmp_path / "plan.csv"
+        assert cli.main(["plan", str(path), "-o", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        rate = float(rows[0][header.index("rate_bps")])
+        assert rate == pytest.approx(12512.92546497, rel=1e-9)
 
     def test_missing_file_exits_1(self):
         assert cli.main(["verify", "/nonexistent.yaml"]) == 1

@@ -26,6 +26,7 @@ from thzplanner import (
     rate_threshold_oracle,
     system_reliability,
 )
+from thzplanner import reliability
 
 TASK = TaskProfile(mean_job_bits=8.0e6, mean_job_cycles=1.0e7)
 
@@ -270,7 +271,7 @@ class TestRateThreshold:
     def test_both_solver_branches_verify(self):
         """Small, medium and huge edge headroom land on the principal W
         branch, the direct lower branch, and the log-domain lower branch;
-        all must hit the target without falling back to bisection."""
+        the closed form must hit the target on all three."""
         user = UserProfile(arrival_rate=10.0, local_cpu_hz=1.0e6)
         qos = QosTarget(delay_s=0.08, min_reliability=0.999)
         for cpu in (1.0e9, 2.0e10, 2.0e12):  # mu_m = 100, 2000, 200000
@@ -278,6 +279,32 @@ class TestRateThreshold:
             r = rate_threshold(user, TASK, edge, qos, 1.0)
             phi = system_reliability(user, TASK, edge, 1.0, r, qos.delay_s)
             assert abs(phi - qos.min_reliability) <= 1e-8
+
+    def test_log_domain_root_has_no_cancellation(self):
+        """v eps ~ 1e12: w ~ -v eps would cancel against mu_m eps, and Phi
+        is too flat in R for a reliability check to notice the lost digits.
+        The rate is the u eps -> ln(1/(1 - theta)) limit."""
+        task = TaskProfile(mean_job_bits=1.0e4, mean_job_cycles=1.0e5)
+        user = UserProfile(arrival_rate=0.1, local_cpu_hz=1.0e3)
+        edge = EdgeProfile(cpu_hz=1.0e16)
+        qos = QosTarget(delay_s=10.0, min_reliability=0.99999)
+        r = rate_threshold(user, task, edge, qos, 1.0)
+        expected = (0.1 + math.log(1.0e5) / 10.0) * 1.0e4  # 12512.92546497
+        assert r == pytest.approx(expected, rel=1e-9)
+
+    def test_closed_form_never_calls_the_oracle(self, monkeypatch):
+        task = TaskProfile(mean_job_bits=1.0e4, mean_job_cycles=1.0e5)
+        user = UserProfile(arrival_rate=1.0, local_cpu_hz=1.0e8)
+        edge = EdgeProfile(cpu_hz=1.0e13)
+        qos = QosTarget(delay_s=10.0, min_reliability=0.9)
+        ref = rate_threshold_oracle(user, task, edge, qos, 1.0)
+
+        def refuse(*args):
+            raise AssertionError("rate_threshold called the bisection oracle")
+
+        monkeypatch.setattr(reliability, "rate_threshold_oracle", refuse)
+        r = rate_threshold(user, task, edge, qos, 1.0)
+        assert r == pytest.approx(ref, rel=1e-9)
 
     def test_decreasing_in_edge_capacity(self):
         user = UserProfile(arrival_rate=10.0, local_cpu_hz=1.0e6)
