@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from typing import List, Optional, Sequence, Tuple
@@ -90,6 +91,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="thzplanner",

@@ -37,6 +37,19 @@ class InfeasibleError(ValueError):
     """No transmission rate can reach the reliability target."""
 
 
+class _CeilingError(InfeasibleError):
+    """Edge target above the u -> inf ceiling; args are (target, ceiling).
+
+    The share search raises and discards thousands of these per plan, so
+    the message is formatted only when read.
+    """
+
+    def __str__(self) -> str:
+        return "edge reliability target {:.12g} is not reachable: ceiling is {:.12g}".format(
+            *self.args
+        )
+
+
 @dataclass(frozen=True)
 class TaskProfile:
     """Workload statistics of one job (exponentially distributed)."""
@@ -275,11 +288,7 @@ def rate_threshold(
     sup = -math.expm1(-(mu_m - offered) * eps)  # u -> inf limit of Phi_edge
     diff = sup - edge_target
     if diff <= 0.0:
-        raise InfeasibleError(
-            "edge reliability target {:.12g} is not reachable: ceiling is {:.12g}".format(
-                edge_target, sup
-            )
-        )
+        raise _CeilingError(edge_target, sup)
     root = _genuine_root_rate(mu_m, offered, diff, eps, task.mean_job_bits)
     return max(root, floor_rate)
 

@@ -16,6 +16,7 @@ import math
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import yaml
+from yaml import CSafeLoader
 
 from .channel import FrequencyGrid, GaussianFit, RadioParams
 from .optimizer import Scenario
@@ -199,7 +200,7 @@ def load_scenario(path: str) -> Scenario:
     """Parse and validate a scenario file; all errors become ScenarioFormatError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=CSafeLoader)
     except OSError as exc:
         raise ScenarioFormatError(f"cannot read scenario file: {exc}") from exc
     except yaml.YAMLError as exc:

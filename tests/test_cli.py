@@ -8,6 +8,7 @@ discrepancy, 4 verification failure.
 import csv
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from thzplanner import ScenarioFormatError, cli, load_scenario, scenario_from_di
 REFERENCE = "scenarios/reference_k10.yaml"
 STRICT = "scenarios/strict_infeasible_k10.yaml"
 SINGLE = "scenarios/single_user.yaml"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 MINIMAL_YAML = """\
 task: {L_a_bits: 8.0e+6, mu_a_cycles: 1.0e+7}
@@ -118,7 +120,8 @@ class TestLoadScenario:
     def test_yaml_syntax_error(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("task: {L_a_bits: [unclosed\n")
-        with pytest.raises(ScenarioFormatError):
+        # the parser's wording may change; the error position must not
+        with pytest.raises(ScenarioFormatError, match='broken.yaml", line 1, column'):
             load_scenario(str(path))
 
     def test_empty_file(self, tmp_path):
@@ -192,6 +195,14 @@ class TestPlanCommand:
         _, _, forced_rows = read_csv(b)
         assert float(forced_rows[-1][4]) <= float(opt_rows[-1][4])
         assert all(float(r[1]) == 1.0 for r in forced_rows[:-1])
+
+    def test_no_flag_leaks_into_the_next_call(self, tmp_path):
+        # main reuses one parser per process; a flag given to one call must
+        # not change the next
+        a, b = tmp_path / "forced.csv", tmp_path / "opt.csv"
+        assert cli.main(["plan", REFERENCE, "--beta-one", "-o", str(a)]) == 0
+        assert cli.main(["plan", REFERENCE, "-o", str(b)]) == 0
+        assert b.read_bytes() == (GOLDEN / "plan_reference_k10.csv").read_bytes()
 
     def test_infeasible_scenario_exits_2(self, tmp_path, capsys):
         out = tmp_path / "strict.csv"

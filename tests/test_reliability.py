@@ -211,8 +211,12 @@ class TestRateThreshold:
         qos = QosTarget(delay_s=0.08, min_reliability=0.99999)
         from thzplanner import InfeasibleError
 
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(InfeasibleError) as info:
             rate_threshold(user, TASK, edge, qos, 0.1)
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == (
+            "edge reliability target 1.00022399728 is not reachable: ceiling is 1"
+        )
 
     def test_agrees_with_bisection(self):
         rng = np.random.default_rng(424242)
@@ -249,8 +253,12 @@ class TestRateThreshold:
         user = UserProfile(arrival_rate=10.0, local_cpu_hz=1.0e6)
         edge = EdgeProfile(cpu_hz=1.2e8)  # mu_m = 12, so v <= 2 and sup << theta
         qos = QosTarget(delay_s=0.08, min_reliability=0.99999)
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(InfeasibleError) as info:
             rate_threshold(user, TASK, edge, qos, 1.0)
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == (
+            "edge reliability target 0.99999 is not reachable: ceiling is 0.147856211034"
+        )
 
     def test_unstable_edge_raises(self):
         user = UserProfile(arrival_rate=30.0, local_cpu_hz=1.0e9)
