@@ -1,7 +1,8 @@
 """Byte-identical CLI output on the shipped scenarios.
 
 Each case runs cli.main in process and compares the exit code, stdout,
-stderr and (for plan and sweep) the CSV with files under tests/golden/.
+stderr and (for plan, sweep and simulate) the CSV with files under
+tests/golden/.
 Any change to a planned number, a warning or a verify line shows up here
 as a diff.  After an intended output change, regenerate the files with
 
@@ -28,6 +29,8 @@ SWEEPS = {
     "f_l": "5.0e8,1.4e9,2.0e9",
 }
 
+SIMULATE = ["--jobs", "20000", "--seed", "3"]
+
 
 def _cases():
     """(case name, argv without the output flag, writes a CSV)."""
@@ -37,6 +40,11 @@ def _cases():
         out.append((f"plan_{name}", ["plan", path], True))
         out.append((f"plan_beta_one_{name}", ["plan", path, "--beta-one"], True))
         out.append((f"verify_{name}", ["verify", path], False))
+        for mode in ("isolated", "shared-edge"):
+            sim = ["simulate", path, "--mode", mode] + SIMULATE
+            tag = mode.replace("-", "_")
+            out.append((f"simulate_{tag}_{name}", sim, True))
+            out.append((f"simulate_beta_one_{tag}_{name}", sim + ["--beta-one"], True))
     ref = str(ROOT / "scenarios" / "reference_k10.yaml")
     for axis, values in SWEEPS.items():
         out.append(
@@ -56,7 +64,8 @@ def _run(argv, writes_csv, csv_path, capture):
     rc = cli.main(argv)
     stdout, stderr = capture()
     log = f"exit: {rc}\n--- stdout\n{stdout}--- stderr\n{stderr}"
-    return log, csv_path.read_bytes() if writes_csv else None
+    # simulate writes no CSV when the plan is infeasible
+    return log, csv_path.read_bytes() if csv_path.exists() else None
 
 
 @pytest.mark.parametrize("name,argv,writes_csv", CASES, ids=[c[0] for c in CASES])
@@ -67,8 +76,8 @@ def test_output_matches_golden(name, argv, writes_csv, tmp_path, capsys):
 
     log, csv_bytes = _run(argv, writes_csv, tmp_path / "out.csv", capture)
     assert log == (GOLDEN / f"{name}.log").read_text(encoding="utf-8")
-    if writes_csv:
-        assert csv_bytes == (GOLDEN / f"{name}.csv").read_bytes()
+    golden_csv = GOLDEN / f"{name}.csv"
+    assert csv_bytes == (golden_csv.read_bytes() if golden_csv.exists() else None)
 
 
 def _regenerate() -> None:
@@ -84,10 +93,11 @@ def _regenerate() -> None:
             def capture():
                 return out.getvalue(), err.getvalue()
 
+            csv_path = Path(tmp) / f"{name}.csv"
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                log, csv_bytes = _run(argv, writes_csv, Path(tmp) / "out.csv", capture)
+                log, csv_bytes = _run(argv, writes_csv, csv_path, capture)
             (GOLDEN / f"{name}.log").write_text(log, encoding="utf-8")
-            if writes_csv:
+            if csv_bytes is not None:
                 (GOLDEN / f"{name}.csv").write_bytes(csv_bytes)
 
 
