@@ -16,15 +16,16 @@ queue in arrival order.
 Streams are counter-based (Philox) and keyed by (seed, user, stage), so runs
 are bit-reproducible and the two modes consume identical randomness: a
 single-user shared run equals the isolated run exactly.
+
+numpy is imported inside the functions that draw or queue, so importing
+this module (as the CLI does for plan, sweep and verify) does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .optimizer import INFEASIBLE, Plan, Scenario
 from .reliability import (
@@ -36,6 +37,9 @@ from .reliability import (
     UserProfile,
     system_reliability,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ISOLATED = "isolated"
 SHARED_EDGE = "shared_edge"
@@ -100,6 +104,8 @@ class SimReport:
 
 
 def _stream(seed: int, user_id: int, stage: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence((seed, user_id, stage)))
     )
@@ -107,13 +113,21 @@ def _stream(seed: int, user_id: int, stage: int) -> np.random.Generator:
 
 def _lindley_sojourn(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
     """Per-job sojourn times of a FIFO single-server queue, vectorized."""
+    import numpy as np
+
     n = arrivals.size
     if n == 0:
         return np.empty(0)
-    gaps = services[:-1] - np.diff(arrivals)
-    cum = np.concatenate(([0.0], np.cumsum(gaps)))
-    waits = cum - np.minimum.accumulate(cum)
-    return waits + services
+    gaps = np.subtract(arrivals[1:], arrivals[:-1])
+    np.subtract(services[:-1], gaps, out=gaps)
+    cum = np.empty(n)
+    cum[0] = 0.0
+    np.cumsum(gaps, out=cum[1:])
+    del gaps
+    waits = np.minimum.accumulate(cum)
+    np.subtract(cum, waits, out=waits)
+    waits += services
+    return waits
 
 
 def simulate_mm1_sojourn(
@@ -124,6 +138,8 @@ def simulate_mm1_sojourn(
     arrival_rate 0 degenerates to pure service times.  Raises StabilityError
     when arrival_rate >= service_rate.
     """
+    import numpy as np
+
     if service_rate <= 0.0:
         raise ValueError("service rate must be positive")
     if arrival_rate < 0.0:
@@ -151,17 +167,17 @@ def simulate_mm1_sojourn(
 class _UserTrace:
     """Per-user state shared by the two edge disciplines."""
 
-    __slots__ = ("arrivals", "offloaded", "totals", "tx_departures", "edge_services")
+    __slots__ = ("off_arrivals", "offloaded", "totals", "tx_departures", "edge_services")
 
     def __init__(
         self,
-        arrivals: np.ndarray,
+        off_arrivals: np.ndarray,
         offloaded: np.ndarray,
         totals: np.ndarray,
         tx_departures: np.ndarray,
         edge_services: np.ndarray,
     ) -> None:
-        self.arrivals = arrivals
+        self.off_arrivals = off_arrivals
         self.offloaded = offloaded
         self.totals = totals
         self.tx_departures = tx_departures
@@ -182,6 +198,8 @@ def _trace_user(
     Checks the user's local, transmission and edge queues for stability
     (the edge against this user's load alone) before drawing anything.
     """
+    import numpy as np
+
     lam = user.arrival_rate
     if lam <= 0.0:
         raise ValueError("simulation needs a positive arrival rate")
@@ -214,43 +232,54 @@ def _trace_user(
         )
         totals[kept] = _lindley_sojourn(arrivals[kept], local_services)
 
-    n_off = int(offloaded.sum())
+    off_arrivals = arrivals[offloaded]
+    n_off = off_arrivals.size
     if n_off:
         tx_services = _stream(cfg.seed, user_id, _PH_TX).exponential(1.0 / tx_rate, n_off)
-        tx_sojourn = _lindley_sojourn(arrivals[offloaded], tx_services)
-        tx_departures = arrivals[offloaded] + tx_sojourn
+        tx_departures = _lindley_sojourn(off_arrivals, tx_services)
+        tx_departures += off_arrivals
         edge_services = _stream(cfg.seed, user_id, _PH_EDGE).exponential(
             1.0 / mu_m, n_off
         )
     else:
         tx_departures = np.empty(0)
         edge_services = np.empty(0)
-    return _UserTrace(arrivals, offloaded, totals, tx_departures, edge_services)
+    return _UserTrace(off_arrivals, offloaded, totals, tx_departures, edge_services)
 
 
 def _finish_isolated(trace: _UserTrace) -> None:
     """Complete offloaded jobs through a private edge queue."""
     if trace.tx_departures.size == 0:
         return
-    edge_sojourn = _lindley_sojourn(trace.tx_departures, trace.edge_services)
-    done = trace.tx_departures + edge_sojourn
-    trace.totals[trace.offloaded] = done - trace.arrivals[trace.offloaded]
+    done = _lindley_sojourn(trace.tx_departures, trace.edge_services)
+    done += trace.tx_departures
+    done -= trace.off_arrivals
+    trace.totals[trace.offloaded] = done
 
 
 def _finish_shared(traces: List[_UserTrace]) -> None:
     """Complete all offloaded jobs through one merged edge queue."""
+    import numpy as np
+
     dep = np.concatenate([t.tx_departures for t in traces])
+    serv = np.concatenate([t.edge_services for t in traces])
+    for t in traces:  # release the per-user copies before the merge
+        t.tx_departures = t.edge_services = None
     if dep.size == 0:
         return
-    serv = np.concatenate([t.edge_services for t in traces])
     order = np.argsort(dep, kind="stable")
-    edge_sojourn = _lindley_sojourn(dep[order], serv[order])
-    done = np.empty(dep.size)
-    done[order] = dep[order] + edge_sojourn
-    offsets = np.concatenate(([0], np.cumsum([t.tx_departures.size for t in traces])))
-    for i, t in enumerate(traces):
-        lo, hi = offsets[i], offsets[i + 1]
-        t.totals[t.offloaded] = done[lo:hi] - t.arrivals[t.offloaded]
+    dep = dep[order]
+    serv = serv[order]
+    sojourn = _lindley_sojourn(dep, serv)
+    sojourn += dep
+    done = np.empty(sojourn.size)
+    done[order] = sojourn
+    lo = 0
+    for t in traces:
+        seg = done[lo : lo + t.off_arrivals.size]
+        seg -= t.off_arrivals
+        t.totals[t.offloaded] = seg
+        lo += seg.size
 
 
 def _report_row(
@@ -264,6 +293,8 @@ def _report_row(
     trace: _UserTrace,
     cfg: SimConfig,
 ) -> SimUserReport:
+    import numpy as np
+
     post = trace.totals[cfg.warmup :]
     n_eff = post.size
     p_hat = float(np.mean(post <= qos.delay_s))
@@ -312,7 +343,8 @@ def simulate_system(
     if any(row.status == INFEASIBLE for row in p.users):
         raise InfeasibleError("plan contains infeasible users; nothing to simulate")
     task, edge, qos = scenario.task, scenario.edge, scenario.qos
-    pairs = overrides or [(row.beta, row.rate_bps) for row in p.users]
+    pairs = (overrides if overrides is not None
+             else [(row.beta, row.rate_bps) for row in p.users])
     if len(pairs) != len(p.users):
         raise ValueError("one (beta, rate) pair per user required")
 

@@ -7,7 +7,10 @@ discrepancy, 4 verification failure.
 
 import csv
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,7 +21,8 @@ from thzplanner import ScenarioFormatError, cli, load_scenario, scenario_from_di
 REFERENCE = "scenarios/reference_k10.yaml"
 STRICT = "scenarios/strict_infeasible_k10.yaml"
 SINGLE = "scenarios/single_user.yaml"
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 MINIMAL_YAML = """\
 task: {L_a_bits: 8.0e+6, mu_a_cycles: 1.0e+7}
@@ -399,3 +403,27 @@ class TestTopLevel:
             cli.main(["--version"])
         assert exc.value.code == 0
         assert tp.__version__ in capsys.readouterr().out
+
+    def test_numpy_loads_only_for_simulate(self, tmp_path):
+        """plan, sweep and verify never import numpy; simulate does.
+
+        Runs in a fresh interpreter, since this one has numpy loaded."""
+        script = f"""
+import sys
+from thzplanner import cli
+out = {str(tmp_path / "out.csv")!r}
+assert cli.main(["plan", {SINGLE!r}, "-o", out]) == 0
+assert cli.main(["sweep", {SINGLE!r}, "--axis", "f_m", "--values", "2e10", "-o", out]) == 0
+assert cli.main(["verify", {SINGLE!r}]) == 0
+loaded = ["numpy" in sys.modules]
+assert cli.main(["simulate", {SINGLE!r}, "--jobs", "2000", "-o", out]) == 0
+loaded.append("numpy" in sys.modules)
+print(loaded)
+"""
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        res = subprocess.run(
+            [sys.executable, "-c", script], cwd=ROOT, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "[False, True]"

@@ -28,7 +28,7 @@ from thzplanner import (
     simulate_user,
     system_reliability,
 )
-from thzplanner.simulator import _trace_user
+from thzplanner.simulator import _lindley_sojourn, _trace_user
 
 TASK = TaskProfile(mean_job_bits=8.0e6, mean_job_cycles=1.0e7)
 
@@ -82,6 +82,34 @@ class TestMm1:
         assert simulate_mm1_sojourn(30.0, 100.0, 0.05, other) != a
 
 
+class TestLindley:
+    @staticmethod
+    def _reference(arrivals, services):
+        if arrivals.size == 0:
+            return np.empty(0)
+        cum = np.concatenate(([0.0], np.cumsum(services[:-1] - np.diff(arrivals))))
+        return cum - np.minimum.accumulate(cum) + services
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5_000])
+    def test_bit_identical_to_the_plain_expression(self, n):
+        rng = np.random.default_rng(n)
+        arrivals = np.cumsum(rng.exponential(1.0, n))
+        services = rng.exponential(0.8, n)
+        got = _lindley_sojourn(arrivals, services)
+        assert np.array_equal(got, self._reference(arrivals, services))
+
+    def test_matches_the_scalar_recursion(self):
+        rng = np.random.default_rng(7)
+        arrivals = np.cumsum(rng.exponential(1.0, 2_000))
+        services = rng.exponential(0.9, 2_000)
+        got = _lindley_sojourn(arrivals, services)
+        w = 0.0
+        for i in range(arrivals.size):
+            if i:
+                w = max(0.0, w + services[i - 1] - (arrivals[i] - arrivals[i - 1]))
+            assert got[i] == pytest.approx(w + services[i], rel=1e-12)
+
+
 class TestTraceStreams:
     def test_offloaded_substream_is_poisson(self):
         """Thinning the Poisson arrivals with probability beta must leave
@@ -90,7 +118,7 @@ class TestTraceStreams:
         edge = EdgeProfile(cpu_hz=1.0e9)
         cfg = SimConfig(n_jobs=40_000, warmup=400, seed=3)
         trace = _trace_user(0, user, TASK, edge, 0.5, 2.0e9, cfg)
-        gaps = np.diff(trace.arrivals[trace.offloaded])
+        gaps = np.diff(trace.off_arrivals)
         # 1% critical value; n ~ 20000 thinned jobs
         res = stats.kstest(gaps, "expon", args=(0.0, 1.0 / (0.5 * 20.0)))
         assert res.pvalue > 0.01
@@ -227,6 +255,13 @@ class TestSimulateSystem:
             simulate_system(
                 p, sc, SimConfig(n_jobs=10_000, warmup=100), overrides=[(1.0, 1e9)]
             )
+
+    def test_empty_overrides_rejected(self):
+        """An empty list is a wrong-length override, not "use the plan"."""
+        sc = tp.single_user_scenario()
+        p = tp.plan(sc)
+        with pytest.raises(ValueError, match="one \\(beta, rate\\) pair per user"):
+            simulate_system(p, sc, SimConfig(n_jobs=10_000, warmup=100), overrides=[])
 
 
 class TestAgreementProperty:
