@@ -15,7 +15,14 @@ def main() -> None:
     print("=== M/M/1 sanity: sojourn tail has rate mu - lambda ===")
     lam, mu, eps = 50.0, 100.0, 0.08
     cfg = tp.SimConfig(n_jobs=400_000, warmup=4_000, seed=0)
-    emp = tp.simulate_mm1_sojourn(lam, mu, eps, cfg)
+    # a user that offloads nothing is a bare M/M/1 queue: one-cycle jobs
+    # on a CPU of mu cycles/s
+    emp = tp.simulate_user(
+        tp.UserProfile(arrival_rate=lam, local_cpu_hz=mu),
+        tp.TaskProfile(mean_job_bits=1.0, mean_job_cycles=1.0),
+        tp.EdgeProfile(cpu_hz=1.0), 0.0, 0.0,
+        tp.QosTarget(delay_s=eps, min_reliability=0.5), cfg,
+    ).empirical
     exact = -math.expm1(-(mu - lam) * eps)
     ci = 3.0 * math.sqrt(exact * (1.0 - exact) / (cfg.n_jobs - cfg.warmup))
     print(f"empirical {emp:.6f} vs exact {exact:.6f} "

@@ -68,7 +68,6 @@ from .simulator import (
     SimConfig,
     SimReport,
     SimUserReport,
-    simulate_mm1_sojourn,
     simulate_system,
     simulate_user,
 )

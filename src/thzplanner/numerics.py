@@ -218,19 +218,3 @@ def find_root(
             hi = mid
     return 0.5 * (lo + hi)
 
-
-def db_to_linear(db: float) -> float:
-    """Power ratio from decibels."""
-    return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    """Decibels from a positive power ratio."""
-    if x <= 0.0:
-        raise ValueError("ratio must be positive")
-    return 10.0 * math.log10(x)
-
-
-def dbm_to_watts(dbm: float) -> float:
-    """Watts from dBm."""
-    return 1e-3 * 10.0 ** (dbm / 10.0)

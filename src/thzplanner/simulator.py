@@ -97,6 +97,7 @@ class SimReport:
     seed: int
     n_jobs: int
     users: Tuple[SimUserReport, ...]
+    warnings: Tuple[str, ...] = ()
 
     @property
     def all_within_ci(self) -> bool:
@@ -128,40 +129,6 @@ def _lindley_sojourn(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
     np.subtract(cum, waits, out=waits)
     waits += services
     return waits
-
-
-def simulate_mm1_sojourn(
-    arrival_rate: float, service_rate: float, epsilon_s: float, cfg: SimConfig
-) -> float:
-    """Empirical P(sojourn <= epsilon) of a plain M/M/1 queue.
-
-    arrival_rate 0 degenerates to pure service times.  Raises StabilityError
-    when arrival_rate >= service_rate.
-    """
-    import numpy as np
-
-    if service_rate <= 0.0:
-        raise ValueError("service rate must be positive")
-    if arrival_rate < 0.0:
-        raise ValueError("arrival rate must be nonnegative")
-    if arrival_rate >= service_rate:
-        raise StabilityError(
-            f"M/M/1 unstable: lambda {arrival_rate:.6g} >= mu {service_rate:.6g}"
-        )
-    services = _stream(cfg.seed, 0, _PH_LOCAL).exponential(
-        1.0 / service_rate, cfg.n_jobs
-    )
-    if arrival_rate == 0.0:
-        sojourn = services
-    else:
-        arrivals = np.cumsum(
-            _stream(cfg.seed, 0, _PH_ARRIVAL).exponential(
-                1.0 / arrival_rate, cfg.n_jobs
-            )
-        )
-        sojourn = _lindley_sojourn(arrivals, services)
-    post = sojourn[cfg.warmup :]
-    return float(np.mean(post <= epsilon_s))
 
 
 class _UserTrace:
@@ -336,12 +303,14 @@ def simulate_system(
     """Simulate every planned user under the configured edge discipline.
 
     overrides, when given, replaces each user's (beta, rate) pair, e.g. to
-    replay a plan's rates with offloading forced to 1.  Raises
-    InfeasibleError via the plan check when any user is flagged infeasible,
-    StabilityError when a queue (or the shared edge) would be overloaded.
+    replay a plan's rates with offloading forced to 1.  In isolated mode a
+    user with an overloaded queue is reported with analytic 0 and NaN
+    empirical columns, and the reason is added to SimReport.warnings.
+    Raises InfeasibleError when any user is flagged infeasible, and
+    StabilityError in shared-edge mode when any queue would be overloaded.
     """
     if any(row.status == INFEASIBLE for row in p.users):
-        raise InfeasibleError("plan contains infeasible users; nothing to simulate")
+        raise InfeasibleError("plan is infeasible; nothing to simulate")
     task, edge, qos = scenario.task, scenario.edge, scenario.qos
     pairs = (overrides if overrides is not None
              else [(row.beta, row.rate_bps) for row in p.users])
@@ -349,13 +318,23 @@ def simulate_system(
         raise ValueError("one (beta, rate) pair per user required")
 
     if cfg.mode == ISOLATED:
-        rows = tuple(
-            simulate_user(
-                scenario.users[row.user_id], task, edge, b, r, qos, cfg, user_id=row.user_id
-            )
-            for row, (b, r) in zip(p.users, pairs)
-        )
-        return SimReport(mode=cfg.mode, seed=cfg.seed, n_jobs=cfg.n_jobs, users=rows)
+        rows: List[SimUserReport] = []
+        warnings: List[str] = []
+        for row, (b, r) in zip(p.users, pairs):
+            try:
+                rows.append(simulate_user(
+                    scenario.users[row.user_id], task, edge, b, r, qos, cfg,
+                    user_id=row.user_id,
+                ))
+            except StabilityError as exc:
+                # unstable queue: long-run within-budget fraction is zero
+                warnings.append(str(exc))
+                rows.append(SimUserReport(
+                    row.user_id, b, r, analytic=0.0, empirical=math.nan,
+                    ci_radius=math.nan, n_effective=0,
+                ))
+        return SimReport(mode=cfg.mode, seed=cfg.seed, n_jobs=cfg.n_jobs,
+                         users=tuple(rows), warnings=tuple(warnings))
 
     mu_m = edge.service_rate(task)
     load = sum(b * scenario.users[row.user_id].arrival_rate

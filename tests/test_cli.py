@@ -45,6 +45,18 @@ users:
   - {lambda_jobs_per_s: 1.0e+2, f_l_cycles_per_s: 2.0e+9}
 """
 
+# two identical users at theta 0.99999 get one and the same planned rate
+TWIN_USERS_YAML = """\
+task: {L_a_bits: 8.0e+6, mu_a_cycles: 1.0e+7}
+radio: {B_hz: 1.0e+10, p_w: 1.0e-1, gt_dbi: 2.0e+1, gr_dbi: 2.0e+1, noise_dbm: -4.0e+1}
+edge: {f_m_cycles_per_s: 2.0e+10}
+qos: {epsilon_s: 8.0e-2, theta_th: 9.9999e-1}
+grid: {freqs_ghz: [1.5e+2, 1.6e+2]}
+users:
+  - {lambda_jobs_per_s: 1.0e+1, f_l_cycles_per_s: 5.0e+8}
+  - {lambda_jobs_per_s: 1.0e+1, f_l_cycles_per_s: 5.0e+8}
+"""
+
 # slow local CPU and a huge edge headroom (v eps ~ 1e12): the rate comes
 # from the log-domain W branch
 LOG_DOMAIN_YAML = """\
@@ -387,6 +399,25 @@ class TestVerifyCommand:
         _, header, rows = read_csv(out)
         rate = float(rows[0][header.index("rate_bps")])
         assert rate == pytest.approx(12512.92546497, rel=1e-9)
+
+    def test_equal_rates_check_a_distinct_pair(self, tmp_path, capsys, monkeypatch):
+        """Equal planned rates give mixed differences of exactly zero, so
+        the supermodularity check must fall back to two distinct rates."""
+        path = tmp_path / "twins.yaml"
+        path.write_text(TWIN_USERS_YAML)
+        p = tp.plan(load_scenario(str(path)))
+        assert p.users[0].rate_bps == p.users[1].rate_bps
+        seen = []
+        real_gap = cli.supermodularity_gap
+
+        def recording_gap(fit, radio, rate_lo, rate_hi, f_lo, f_hi):
+            seen.append((rate_lo, rate_hi))
+            return real_gap(fit, radio, rate_lo, rate_hi, f_lo, f_hi)
+
+        monkeypatch.setattr(cli, "supermodularity_gap", recording_gap)
+        assert cli.main(["verify", str(path)]) == 0
+        assert seen and all(lo < hi for lo, hi in seen)
+        assert "mixed differences positive" in capsys.readouterr().out
 
     def test_missing_file_exits_1(self):
         assert cli.main(["verify", "/nonexistent.yaml"]) == 1

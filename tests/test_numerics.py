@@ -13,12 +13,7 @@ import pytest
 from scipy.special import lambertw as scipy_lambertw
 
 from thzplanner import find_root, lambert_w, minimize_scalar
-from thzplanner.numerics import (
-    db_to_linear,
-    dbm_to_watts,
-    lambert_w_log_lower,
-    linear_to_db,
-)
+from thzplanner.numerics import lambert_w_log_lower
 
 BRANCH_POINT = -1.0 / math.e
 
@@ -162,11 +157,3 @@ class TestFindRoot:
         r = find_root(lambda t: t, 0.0, 1.0)
         assert abs(r) < 1e-12
 
-
-def test_db_helpers_roundtrip():
-    for v in (1e-6, 0.5, 1.0, 37.2, 1e9):
-        assert linear_to_db(db_to_linear(linear_to_db(v))) == pytest.approx(
-            linear_to_db(v), rel=1e-14
-        )
-    assert dbm_to_watts(0.0) == pytest.approx(1e-3, rel=1e-15)
-    assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-15)

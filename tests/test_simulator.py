@@ -23,7 +23,6 @@ from thzplanner import (
     StabilityError,
     TaskProfile,
     UserProfile,
-    simulate_mm1_sojourn,
     simulate_system,
     simulate_user,
     system_reliability,
@@ -46,20 +45,33 @@ class TestSimConfig:
         SimConfig(n_jobs=1000, warmup=100)
 
 
+def mm1_within(lam, mu, eps, cfg):
+    """Empirical P(sojourn <= eps) of an M/M/1 queue: a user that offloads
+    nothing, with jobs of one cycle on a CPU of mu cycles/s."""
+    one_cycle = TaskProfile(mean_job_bits=1.0, mean_job_cycles=1.0)
+    rep = simulate_user(
+        UserProfile(arrival_rate=lam, local_cpu_hz=mu), one_cycle,
+        EdgeProfile(cpu_hz=1.0), 0.0, 0.0, QosTarget(delay_s=eps, min_reliability=0.5),
+        cfg,
+    )
+    return rep.empirical
+
+
 class TestMm1:
     def test_half_loaded_queue_matches_theory(self):
         # lambda 50, mu 100: sojourn ~ Exp(50), P(<= 0.08) = 1 - e^-4.
         # Seed pinned: see the module docstring on busy-period correlation.
         cfg = SimConfig(n_jobs=1_000_000, warmup=10_000, seed=0)
-        frac = simulate_mm1_sojourn(50.0, 100.0, 0.08, cfg)
+        frac = mm1_within(50.0, 100.0, 0.08, cfg)
         expect = -math.expm1(-4.0)
         ci = 3.0 * math.sqrt(expect * (1.0 - expect) / 990_000)
         assert abs(frac - expect) <= ci
 
     def test_no_arrivals_is_pure_service(self):
-        # independent samples, so the binomial radius is exact here
+        # a vanishing arrival rate leaves every job an empty queue, so the
+        # samples are independent and the binomial radius is exact here
         cfg = SimConfig(n_jobs=400_000, warmup=4_000, seed=7)
-        frac = simulate_mm1_sojourn(0.0, 100.0, 0.02, cfg)
+        frac = mm1_within(1e-9, 100.0, 0.02, cfg)
         expect = -math.expm1(-2.0)
         ci = 3.0 * math.sqrt(expect * (1.0 - expect) / 396_000)
         assert abs(frac - expect) <= ci
@@ -67,19 +79,19 @@ class TestMm1:
     def test_unstable_rejected(self):
         cfg = SimConfig(n_jobs=1000, warmup=10)
         with pytest.raises(StabilityError):
-            simulate_mm1_sojourn(100.0, 100.0, 0.08, cfg)
+            mm1_within(100.0, 100.0, 0.08, cfg)
         with pytest.raises(ValueError):
-            simulate_mm1_sojourn(10.0, 0.0, 0.08, cfg)
+            mm1_within(10.0, 0.0, 0.08, cfg)
         with pytest.raises(ValueError):
-            simulate_mm1_sojourn(-1.0, 10.0, 0.08, cfg)
+            mm1_within(-1.0, 10.0, 0.08, cfg)
 
     def test_seed_reproducibility(self):
         cfg = SimConfig(n_jobs=50_000, warmup=500, seed=11)
-        a = simulate_mm1_sojourn(30.0, 100.0, 0.05, cfg)
-        b = simulate_mm1_sojourn(30.0, 100.0, 0.05, cfg)
+        a = mm1_within(30.0, 100.0, 0.05, cfg)
+        b = mm1_within(30.0, 100.0, 0.05, cfg)
         assert a == b
         other = SimConfig(n_jobs=50_000, warmup=500, seed=12)
-        assert simulate_mm1_sojourn(30.0, 100.0, 0.05, other) != a
+        assert mm1_within(30.0, 100.0, 0.05, other) != a
 
 
 class TestLindley:
@@ -233,19 +245,35 @@ class TestSimulateSystem:
         with pytest.raises(StabilityError):
             simulate_system(p, tiny, cfg, overrides=overrides)
 
-    def test_isolated_edge_overload_refused(self):
+    def test_isolated_edge_overload_reported_per_user(self):
+        """In isolated mode an overloaded private edge queue becomes a NaN
+        row and a warning; the other users are simulated as usual."""
         sc = tp.reference_scenario()
         p = tp.plan(sc)
         tiny = tp.apply_axis(sc, "f_m_cycles_per_s", 1.0e8)  # mu_m = 10 jobs/s
         cfg = SimConfig(n_jobs=10_000, warmup=100, seed=0)
         overrides = [(1.0, row.rate_bps) for row in p.users]
-        with pytest.raises(StabilityError, match="edge queue unstable"):
-            simulate_system(p, tiny, cfg, overrides=overrides)
+        rep = simulate_system(p, tiny, cfg, overrides=overrides)
+        assert not rep.all_within_ci
+        lam = {r.user_id: sc.users[r.user_id].arrival_rate for r in rep.users}
+        unstable = [r for r in rep.users if lam[r.user_id] >= 10.0]
+        stable = [r for r in rep.users if lam[r.user_id] < 10.0]
+        assert len(unstable) == 7
+        assert sorted(lam[r.user_id] for r in stable) == [5.0, 7.0, 9.0]
+        for r in unstable:
+            assert r.analytic == 0.0 and math.isnan(r.empirical)
+            assert math.isnan(r.ci_radius) and r.n_effective == 0
+            assert not r.within_ci
+        assert len(rep.warnings) == len(unstable)
+        for r, note in zip(unstable, rep.warnings):
+            assert note == f"user {r.user_id}: edge queue unstable at beta=1"
+        for r in stable:
+            assert r.n_effective == 9_900 and 0.0 <= r.empirical <= 1.0
 
     def test_infeasible_plan_refused(self):
         sc = tp.strict_scenario()
         p = tp.plan(sc)
-        with pytest.raises(tp.InfeasibleError):
+        with pytest.raises(tp.InfeasibleError, match="plan is infeasible"):
             simulate_system(p, sc, SimConfig(n_jobs=10_000, warmup=100))
 
     def test_override_length_checked(self):
