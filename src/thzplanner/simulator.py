@@ -11,7 +11,15 @@ evaluated in vectorized form:
 with S the services and A the inter-arrival gaps.  Two edge disciplines are
 supported: "isolated" gives every user a private edge queue (the analytic
 model), "shared_edge" merges all users' transmission departures into one
-queue in arrival order.
+queue in departure order.  Both run the same engine: a group of users
+feeding one edge queue, of one user when isolated and of all when shared.
+
+Streams run in fixed chunks of _CHUNK jobs, so memory does not depend on
+the run length.  Each queue carries its Lindley state (last arrival, last
+service, C_n and min C_k) from chunk to chunk, and the sums run left to
+right over [carry, chunk], so every value has the operands, in the order,
+of one pass over the whole run: the chunk size changes no output bit.
+Each user keeps only its count of post-warmup jobs within the budget.
 
 Streams are counter-based (Philox) and keyed by (seed, user, stage), so runs
 are bit-reproducible and the two modes consume identical randomness: a
@@ -50,6 +58,10 @@ _PH_OFFLOAD = 1
 _PH_LOCAL = 2
 _PH_TX = 3
 _PH_EDGE = 4
+_N_STAGES = 5
+
+# jobs drawn per stream at a time; memory is set by this, not by n_jobs
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -112,170 +124,223 @@ def _stream(seed: int, user_id: int, stage: int) -> np.random.Generator:
     )
 
 
-def _lindley_sojourn(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
-    """Per-job sojourn times of a FIFO single-server queue, vectorized."""
-    import numpy as np
+class _Queue:
+    """A FIFO single-server queue fed one chunk of jobs at a time.
 
-    n = arrivals.size
-    if n == 0:
-        return np.empty(0)
-    gaps = np.subtract(arrivals[1:], arrivals[:-1])
-    np.subtract(services[:-1], gaps, out=gaps)
-    cum = np.empty(n)
-    cum[0] = 0.0
-    np.cumsum(gaps, out=cum[1:])
-    del gaps
-    waits = np.minimum.accumulate(cum)
-    np.subtract(cum, waits, out=waits)
-    waits += services
-    return waits
+    Carries the last job's arrival and service, its C_n and the running
+    min_{k<=n} C_k from call to call, so a run pushed in any number of
+    pieces gets the sojourn times, bit for bit, of one push of the whole.
+    """
+
+    __slots__ = ("arrival", "service", "cum", "low")
+
+    def __init__(self) -> None:
+        self.arrival = None  # no job yet
+
+    def sojourn(self, arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
+        """Per-job sojourn times of the next jobs, in arrival order."""
+        import numpy as np
+
+        n = arrivals.size
+        if n == 0:
+            return np.empty(0)
+        if self.arrival is None:
+            # an empty queue before the first job makes its C exactly 0
+            self.arrival, self.service, self.cum, self.low = arrivals[0], 0.0, 0.0, 0.0
+        # cum = [C_prev, S_prev - (A_0 - A_prev), S_0 - (A_1 - A_0), ...],
+        # then summed left to right in place, as one whole-run cumsum would
+        cum = np.empty(n + 1)
+        cum[0] = self.cum
+        steps = cum[1:]
+        steps[0] = self.service - (arrivals[0] - self.arrival)
+        np.subtract(arrivals[1:], arrivals[:-1], out=steps[1:])
+        np.subtract(services[:-1], steps[1:], out=steps[1:])
+        np.cumsum(cum, out=cum)  # steps now holds C_n
+        waits = np.minimum.accumulate(steps)
+        np.minimum(waits, self.low, out=waits)
+        self.arrival, self.service = arrivals[-1], services[-1]
+        self.cum, self.low = cum[-1], waits[-1]
+        np.subtract(steps, waits, out=waits)
+        waits += services
+        return waits
 
 
-class _UserTrace:
-    """Per-user state shared by the two edge disciplines."""
+class _Source:
+    """One user's job stream, drawn _CHUNK jobs at a time.
 
-    __slots__ = ("off_arrivals", "offloaded", "totals", "tx_departures", "edge_services")
+    Jobs kept local go straight through the local queue.  Offloaded jobs
+    go through the transmission queue and then wait for the edge queue in
+    ``pending``, one column per job with rows (transmission departure, edge
+    service, arrival, tag); the tag is the user's slot in its group, or -1
+    for a warmup job.
+    """
 
     def __init__(
         self,
-        off_arrivals: np.ndarray,
-        offloaded: np.ndarray,
-        totals: np.ndarray,
-        tx_departures: np.ndarray,
-        edge_services: np.ndarray,
+        slot: int,
+        user_id: int,
+        user: UserProfile,
+        task: TaskProfile,
+        edge: EdgeProfile,
+        beta: float,
+        rate_bps: float,
+        cfg: SimConfig,
     ) -> None:
-        self.off_arrivals = off_arrivals
-        self.offloaded = offloaded
-        self.totals = totals
-        self.tx_departures = tx_departures
-        self.edge_services = edge_services
+        """Checks the user's local, transmission and edge queues for
+        stability (the edge against this user's load alone) before opening
+        any stream."""
+        import numpy as np
+
+        lam = user.arrival_rate
+        if lam <= 0.0:
+            raise ValueError("simulation needs a positive arrival rate")
+        if not 0.0 <= beta <= 1.0:
+            raise ValueError("beta must lie in [0, 1]")
+        mu_l = user.local_service_rate(task)
+        if beta < 1.0 and mu_l <= (1.0 - beta) * lam:
+            raise StabilityError(
+                f"user {user_id}: local queue unstable at beta={beta:.6g}"
+            )
+        tx_rate = rate_bps / task.mean_job_bits if beta > 0.0 else 0.0
+        if beta > 0.0 and tx_rate <= beta * lam:
+            raise StabilityError(
+                f"user {user_id}: transmission queue unstable at beta={beta:.6g}"
+            )
+        mu_m = edge.service_rate(task)
+        if beta > 0.0 and mu_m <= beta * lam:
+            raise StabilityError(f"user {user_id}: edge queue unstable at beta={beta:.6g}")
+
+        self.slot, self.user_id = slot, user_id
+        self.user, self.task, self.edge = user, task, edge
+        self.beta, self.rate_bps = beta, rate_bps
+        self.lam, self.mu_l, self.tx_rate, self.mu_m = lam, mu_l, tx_rate, mu_m
+        self.streams = [_stream(cfg.seed, user_id, stage) for stage in range(_N_STAGES)]
+        self.left = cfg.n_jobs  # jobs still to draw
+        self.skip = cfg.warmup  # warmup jobs still to draw
+        self.last = 0.0  # arrival time of the last job drawn
+        self.local, self.tx = _Queue(), _Queue()
+        self.pending = np.empty((4, 0))
+
+    @property
+    def bound(self) -> float:
+        """No transmission drawn later departs before this time."""
+        return self.last if self.left else math.inf
+
+    def draw(self) -> np.ndarray:
+        """Draw the next chunk; returns its post-warmup local sojourn times."""
+        import numpy as np
+
+        m = min(_CHUNK, self.left)
+        self.left -= m
+        cut = min(self.skip, m)
+        self.skip -= cut
+        streams = self.streams
+        arrivals = np.empty(m + 1)
+        arrivals[0] = self.last
+        arrivals[1:] = streams[_PH_ARRIVAL].exponential(1.0 / self.lam, m)
+        np.cumsum(arrivals, out=arrivals)
+        arrivals = arrivals[1:]
+        self.last = arrivals[-1]
+        offloaded = streams[_PH_OFFLOAD].random(m) < self.beta
+
+        kept = ~offloaded
+        n_warm = int(np.count_nonzero(kept[:cut]))
+        local = arrivals[kept]
+        if local.size:
+            services = streams[_PH_LOCAL].exponential(1.0 / self.mu_l, local.size)
+            local = self.local.sojourn(local, services)
+
+        off_arrivals = arrivals[offloaded]
+        n_off = off_arrivals.size
+        if n_off:
+            tx_services = streams[_PH_TX].exponential(1.0 / self.tx_rate, n_off)
+            jobs = np.empty((4, n_off))
+            np.add(self.tx.sojourn(off_arrivals, tx_services), off_arrivals, out=jobs[0])
+            jobs[1] = streams[_PH_EDGE].exponential(1.0 / self.mu_m, n_off)
+            jobs[2] = off_arrivals
+            jobs[3] = self.slot
+            jobs[3, : cut - n_warm] = -1.0
+            jobs = np.concatenate((self.pending, jobs), axis=1)
+            departures = jobs[0]
+            if np.any(departures[1:] < departures[:-1]):  # FIFO but for rounding
+                jobs = jobs[:, np.argsort(departures, kind="stable")]
+            self.pending = jobs
+        return local[n_warm:]
 
 
-def _trace_user(
-    user_id: int,
-    user: UserProfile,
-    task: TaskProfile,
-    edge: EdgeProfile,
-    beta: float,
-    rate_bps: float,
-    cfg: SimConfig,
-) -> _UserTrace:
-    """Arrivals, split, local sojourns, and transmission departures.
+def _merge(pending: List[np.ndarray], bound: float) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Release the offloaded jobs whose transmission departs before bound.
 
-    Checks the user's local, transmission and edge queues for stability
-    (the edge against this user's load alone) before drawing anything.
+    pending holds each user's waiting jobs (see _Source), in user order and
+    each stably sorted on departure.  Returns the released jobs in edge
+    order, a stable sort on departure of their user-order concatenation,
+    and each user's jobs held back.  No job drawn later departs before
+    bound, and strict < holds a tie at bound back with the later jobs it
+    may tie with, so successive releases concatenate to one stable sort of
+    every user's whole run.
     """
     import numpy as np
 
-    lam = user.arrival_rate
-    if lam <= 0.0:
-        raise ValueError("simulation needs a positive arrival rate")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
-    mu_l = user.local_service_rate(task)
-    if beta < 1.0 and mu_l <= (1.0 - beta) * lam:
-        raise StabilityError(
-            f"user {user_id}: local queue unstable at beta={beta:.6g}"
-        )
-    tx_rate = rate_bps / task.mean_job_bits if beta > 0.0 else 0.0
-    if beta > 0.0 and tx_rate <= beta * lam:
-        raise StabilityError(
-            f"user {user_id}: transmission queue unstable at beta={beta:.6g}"
-        )
-    mu_m = edge.service_rate(task)
-    if beta > 0.0 and mu_m <= beta * lam:
-        raise StabilityError(f"user {user_id}: edge queue unstable at beta={beta:.6g}")
-
-    n = cfg.n_jobs
-    arrivals = np.cumsum(_stream(cfg.seed, user_id, _PH_ARRIVAL).exponential(1.0 / lam, n))
-    offloaded = _stream(cfg.seed, user_id, _PH_OFFLOAD).random(n) < beta
-    totals = np.empty(n)
-
-    kept = ~offloaded
-    n_kept = int(kept.sum())
-    if n_kept:
-        local_services = _stream(cfg.seed, user_id, _PH_LOCAL).exponential(
-            1.0 / mu_l, n_kept
-        )
-        totals[kept] = _lindley_sojourn(arrivals[kept], local_services)
-
-    off_arrivals = arrivals[offloaded]
-    n_off = off_arrivals.size
-    if n_off:
-        tx_services = _stream(cfg.seed, user_id, _PH_TX).exponential(1.0 / tx_rate, n_off)
-        tx_departures = _lindley_sojourn(off_arrivals, tx_services)
-        tx_departures += off_arrivals
-        edge_services = _stream(cfg.seed, user_id, _PH_EDGE).exponential(
-            1.0 / mu_m, n_off
-        )
-    else:
-        tx_departures = np.empty(0)
-        edge_services = np.empty(0)
-    return _UserTrace(off_arrivals, offloaded, totals, tx_departures, edge_services)
+    cuts = [int(np.searchsorted(waiting[0], bound)) for waiting in pending]
+    runs = [waiting[:, :cut] for waiting, cut in zip(pending, cuts) if cut]
+    held = [waiting[:, cut:] for waiting, cut in zip(pending, cuts)]
+    if len(runs) < 2:  # at most one sorted run: nothing to merge
+        return (runs[0] if runs else np.empty((4, 0))), held
+    jobs = np.concatenate(runs, axis=1)
+    return jobs[:, np.argsort(jobs[0], kind="stable")], held
 
 
-def _finish_isolated(trace: _UserTrace) -> None:
-    """Complete offloaded jobs through a private edge queue."""
-    if trace.tx_departures.size == 0:
-        return
-    done = _lindley_sojourn(trace.tx_departures, trace.edge_services)
-    done += trace.tx_departures
-    done -= trace.off_arrivals
-    trace.totals[trace.offloaded] = done
+def _simulate_group(
+    group: List[_Source], qos: QosTarget, cfg: SimConfig
+) -> List[SimUserReport]:
+    """Run every user of group through one shared edge queue.
 
-
-def _finish_shared(traces: List[_UserTrace]) -> None:
-    """Complete all offloaded jobs through one merged edge queue."""
+    The user with the lowest bound draws next, and every draw is followed
+    by a release up to the lowest bound, so no user holds much more than
+    one chunk of pending jobs, whatever the spread of arrival rates.
+    """
     import numpy as np
 
-    dep = np.concatenate([t.tx_departures for t in traces])
-    serv = np.concatenate([t.edge_services for t in traces])
-    for t in traces:  # release the per-user copies before the merge
-        t.tx_departures = t.edge_services = None
-    if dep.size == 0:
-        return
-    order = np.argsort(dep, kind="stable")
-    dep = dep[order]
-    serv = serv[order]
-    sojourn = _lindley_sojourn(dep, serv)
-    sojourn += dep
-    done = np.empty(sojourn.size)
-    done[order] = sojourn
-    lo = 0
-    for t in traces:
-        seg = done[lo : lo + t.off_arrivals.size]
-        seg -= t.off_arrivals
-        t.totals[t.offloaded] = seg
-        lo += seg.size
+    delay = qos.delay_s
+    edge = _Queue()
+    n_ok = np.zeros(len(group), dtype=np.int64)
+    bounds = [src.bound for src in group]
+    while True:
+        bound = min(bounds)
+        if bound < math.inf:
+            k = bounds.index(bound)
+            n_ok[k] += np.count_nonzero(group[k].draw() <= delay)
+            bounds[k] = group[k].bound
+            bound = min(bounds)
+        jobs, held = _merge([src.pending for src in group], bound)
+        for src, waiting in zip(group, held):
+            src.pending = waiting
+        done = edge.sojourn(jobs[0], jobs[1])
+        done += jobs[0]
+        done -= jobs[2]
+        tags = jobs[3, done <= delay]
+        n_ok += np.bincount(tags[tags >= 0].astype(np.intp), minlength=len(group))
+        if bound == math.inf:
+            break
 
-
-def _report_row(
-    user_id: int,
-    user: UserProfile,
-    task: TaskProfile,
-    edge: EdgeProfile,
-    beta: float,
-    rate_bps: float,
-    qos: QosTarget,
-    trace: _UserTrace,
-    cfg: SimConfig,
-) -> SimUserReport:
-    import numpy as np
-
-    post = trace.totals[cfg.warmup :]
-    n_eff = post.size
-    p_hat = float(np.mean(post <= qos.delay_s))
-    ci = 3.0 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_eff)
-    analytic = system_reliability(user, task, edge, beta, rate_bps, qos.delay_s)
-    return SimUserReport(
-        user_id=user_id,
-        beta=beta,
-        rate_bps=rate_bps,
-        analytic=analytic,
-        empirical=p_hat,
-        ci_radius=ci,
-        n_effective=n_eff,
-    )
+    n_eff = cfg.n_jobs - cfg.warmup
+    rows = []
+    for src, ok in zip(group, n_ok.tolist()):
+        p_hat = ok / n_eff
+        ci = 3.0 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_eff)
+        analytic = system_reliability(
+            src.user, src.task, src.edge, src.beta, src.rate_bps, delay
+        )
+        rows.append(SimUserReport(
+            user_id=src.user_id,
+            beta=src.beta,
+            rate_bps=src.rate_bps,
+            analytic=analytic,
+            empirical=p_hat,
+            ci_radius=ci,
+            n_effective=n_eff,
+        ))
+    return rows
 
 
 def simulate_user(
@@ -289,9 +354,8 @@ def simulate_user(
     user_id: int = 0,
 ) -> SimUserReport:
     """Single user against a private edge queue (the analytic model)."""
-    trace = _trace_user(user_id, user, task, edge, beta, rate_bps, cfg)
-    _finish_isolated(trace)
-    return _report_row(user_id, user, task, edge, beta, rate_bps, qos, trace, cfg)
+    source = _Source(0, user_id, user, task, edge, beta, rate_bps, cfg)
+    return _simulate_group([source], qos, cfg)[0]
 
 
 def simulate_system(
@@ -343,15 +407,9 @@ def simulate_system(
         raise StabilityError(
             f"shared edge overloaded: total offered load {load:.6g} >= {mu_m:.6g} jobs/s"
         )
-    traces = [
-        _trace_user(row.user_id, scenario.users[row.user_id], task, edge, b, r, cfg)
-        for row, (b, r) in zip(p.users, pairs)
+    group = [
+        _Source(k, row.user_id, scenario.users[row.user_id], task, edge, b, r, cfg)
+        for k, (row, (b, r)) in enumerate(zip(p.users, pairs))
     ]
-    _finish_shared(traces)
-    rows = tuple(
-        _report_row(
-            row.user_id, scenario.users[row.user_id], task, edge, b, r, qos, trace, cfg
-        )
-        for row, (b, r), trace in zip(p.users, pairs, traces)
-    )
+    rows = tuple(_simulate_group(group, qos, cfg))
     return SimReport(mode=cfg.mode, seed=cfg.seed, n_jobs=cfg.n_jobs, users=rows)

@@ -8,6 +8,9 @@ single run is compared against that radius.
 """
 
 import math
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +30,10 @@ from thzplanner import (
     simulate_user,
     system_reliability,
 )
-from thzplanner.simulator import _lindley_sojourn, _trace_user
+from thzplanner.scenario_io import load_scenario
+from thzplanner.simulator import _merge, _Queue, _Source
+
+REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" / "reference_k10.yaml"
 
 TASK = TaskProfile(mean_job_bits=8.0e6, mean_job_cycles=1.0e7)
 
@@ -107,19 +113,40 @@ class TestLindley:
         rng = np.random.default_rng(n)
         arrivals = np.cumsum(rng.exponential(1.0, n))
         services = rng.exponential(0.8, n)
-        got = _lindley_sojourn(arrivals, services)
+        got = _Queue().sojourn(arrivals, services)
         assert np.array_equal(got, self._reference(arrivals, services))
 
     def test_matches_the_scalar_recursion(self):
         rng = np.random.default_rng(7)
         arrivals = np.cumsum(rng.exponential(1.0, 2_000))
         services = rng.exponential(0.9, 2_000)
-        got = _lindley_sojourn(arrivals, services)
+        got = _Queue().sojourn(arrivals, services)
         w = 0.0
         for i in range(arrivals.size):
             if i:
                 w = max(0.0, w + services[i - 1] - (arrivals[i] - arrivals[i - 1]))
             assert got[i] == pytest.approx(w + services[i], rel=1e-12)
+
+    def test_bit_identical_at_every_split_point(self):
+        """The carried state makes two pushes equal one push of the whole."""
+        rng = np.random.default_rng(50)
+        arrivals = np.cumsum(rng.exponential(1.0, 50))
+        services = rng.exponential(0.95, 50)
+        expect = self._reference(arrivals, services)
+        for cut in range(51):
+            queue = _Queue()
+            head = queue.sojourn(arrivals[:cut], services[:cut])
+            tail = queue.sojourn(arrivals[cut:], services[cut:])
+            assert np.array_equal(np.concatenate((head, tail)), expect), cut
+
+
+def drain(source):
+    """Draw every chunk of source without releasing its offloaded jobs;
+    returns the post-warmup local sojourn times."""
+    local = []
+    while source.left:
+        local.append(source.draw())
+    return np.concatenate(local)
 
 
 class TestTraceStreams:
@@ -129,8 +156,9 @@ class TestTraceStreams:
         user = UserProfile(arrival_rate=20.0, local_cpu_hz=1.0e9)
         edge = EdgeProfile(cpu_hz=1.0e9)
         cfg = SimConfig(n_jobs=40_000, warmup=400, seed=3)
-        trace = _trace_user(0, user, TASK, edge, 0.5, 2.0e9, cfg)
-        gaps = np.diff(trace.off_arrivals)
+        source = _Source(0, 0, user, TASK, edge, 0.5, 2.0e9, cfg)
+        drain(source)
+        gaps = np.diff(np.sort(source.pending[2]))
         # 1% critical value; n ~ 20000 thinned jobs
         res = stats.kstest(gaps, "expon", args=(0.0, 1.0 / (0.5 * 20.0)))
         assert res.pvalue > 0.01
@@ -139,20 +167,22 @@ class TestTraceStreams:
         user = UserProfile(arrival_rate=20.0, local_cpu_hz=1.0e9)
         edge = EdgeProfile(cpu_hz=1.0e9)
         cfg = SimConfig(n_jobs=10_000, warmup=100, seed=3)
-        trace = _trace_user(0, user, TASK, edge, 0.3, 2.0e9, cfg)
-        assert trace.offloaded.sum() + (~trace.offloaded).sum() == 10_000
-        assert np.all(np.isfinite(trace.totals))
+        source = _Source(0, 0, user, TASK, edge, 0.3, 2.0e9, cfg)
+        local = drain(source)
+        offloaded = source.pending
+        assert local.size + np.count_nonzero(offloaded[3] >= 0) == 10_000 - 100
+        assert np.all(np.isfinite(local)) and np.all(np.isfinite(offloaded))
 
     def test_unstable_queues_refused(self):
         cfg = SimConfig(n_jobs=1000, warmup=10, seed=0)
         edge = EdgeProfile(cpu_hz=1.0e9)
         weak_local = UserProfile(arrival_rate=60.0, local_cpu_hz=5.0e8)  # mu_l = 50
         with pytest.raises(StabilityError):
-            _trace_user(0, weak_local, TASK, edge, 0.05, 1.0e9, cfg)
+            _Source(0, 0, weak_local, TASK, edge, 0.05, 1.0e9, cfg)
         user = UserProfile(arrival_rate=20.0, local_cpu_hz=1.0e9)
         with pytest.raises(StabilityError):
             # tx rate 10 jobs/s below the offered 0.9 * 20
-            _trace_user(0, user, TASK, edge, 0.9, 8.0e7, cfg)
+            _Source(0, 0, user, TASK, edge, 0.9, 8.0e7, cfg)
 
     def test_edge_overload_refused_before_any_draw(self, monkeypatch):
         def no_draws(*args):
@@ -163,7 +193,36 @@ class TestTraceStreams:
         user = UserProfile(arrival_rate=20.0, local_cpu_hz=1.0e9)
         tiny_edge = EdgeProfile(cpu_hz=1.5e8)  # mu_m = 15 < 0.9 * 20
         with pytest.raises(StabilityError, match="edge queue"):
-            _trace_user(0, user, TASK, tiny_edge, 0.9, 2.0e9, cfg)
+            _Source(0, 0, user, TASK, tiny_edge, 0.9, 2.0e9, cfg)
+
+
+class TestMerge:
+    def test_releases_concatenate_to_one_stable_sort(self):
+        """Departures that tie within and across users leave the merge in
+        the order of a stable argsort of the whole runs' user-order
+        concatenation, however the runs arrive and are released."""
+        runs = [[1.0, 2.0, 2.0, 3.0], [2.0, 2.0, 4.0], [0.5, 2.0, 3.0, 3.0]]
+        ids = np.cumsum([0] + [len(r) for r in runs])
+        jobs = [
+            np.vstack((r, np.arange(lo, lo + len(r)), np.zeros(len(r)), np.zeros(len(r))))
+            for r, lo in zip(runs, ids)
+        ]
+        # user 1's first 2.0 waits at bound 2.0 while user 0's 2.0s are
+        # still to be drawn: releasing it (<=) would put it before them
+        first = [1, 1, 2]
+        pending = [j[:, :k] for j, k in zip(jobs, first)]
+        released, pending = _merge(pending, 2.0)
+        order = [released[1]]
+        released, pending = _merge(pending, 2.0)
+        order.append(released[1])
+        pending = [np.concatenate((p, j[:, k:]), axis=1)
+                   for p, j, k in zip(pending, jobs, first)]
+        for bound in (3.0, math.inf):
+            released, pending = _merge(pending, bound)
+            order.append(released[1])
+        assert all(p.shape[1] == 0 for p in pending)
+        expect = np.argsort(np.concatenate(runs), kind="stable")
+        assert np.array_equal(np.concatenate(order), expect)
 
 
 class TestSimulateUser:
@@ -290,6 +349,54 @@ class TestSimulateSystem:
         p = tp.plan(sc)
         with pytest.raises(ValueError, match="one \\(beta, rate\\) pair per user"):
             simulate_system(p, sc, SimConfig(n_jobs=10_000, warmup=100), overrides=[])
+
+
+class TestChunking:
+    """The chunk size changes no output bit."""
+
+    # every chunk costs about 0.1 ms of numpy calls whatever its size, so
+    # the small chunks run fewer jobs; each run is compared with one pass
+    # of the default chunk over the same jobs
+    @pytest.mark.parametrize("chunk, n_jobs", [(1, 1_000), (7, 2_000), (4096, 20_000)])
+    @pytest.mark.parametrize("mode", [ISOLATED, SHARED_EDGE])
+    @pytest.mark.parametrize("beta_one", [False, True], ids=["plan", "beta_one"])
+    def test_reports_equal_across_chunk_sizes(self, monkeypatch, chunk, n_jobs, mode, beta_one):
+        sc = load_scenario(REFERENCE)
+        p = tp.plan(sc)
+        overrides = [(1.0, row.rate_bps) for row in p.users] if beta_one else None
+        cfg = SimConfig(n_jobs=n_jobs, warmup=n_jobs // 10, seed=5, mode=mode)
+        expect = simulate_system(p, sc, cfg, overrides=overrides)
+        monkeypatch.setattr(tp.simulator, "_CHUNK", chunk)
+        assert simulate_system(p, sc, cfg, overrides=overrides) == expect
+
+
+class TestMemory:
+    @pytest.mark.parametrize("skewed", [False, True], ids=["reference", "rates_1000x"])
+    def test_shared_edge_peak_does_not_grow_with_jobs(self, skewed):
+        """numpy reports its buffers to tracemalloc, so the traced peak
+        covers every array the run holds."""
+        sc = load_scenario(REFERENCE)
+        overrides = None
+        if skewed:
+            # 0.5 and 500 jobs/s: a slow user's chunk spans a thousand of a
+            # fast user's, and its offloaded jobs wait for the fast users
+            users = tuple(
+                UserProfile(arrival_rate=0.5 if k % 2 else 500.0, local_cpu_hz=1.0e11)
+                for k in range(10)
+            )
+            sc = replace(sc, users=users, edge=EdgeProfile(cpu_hz=1.0e14))
+            overrides = [(0.5, 1.0e11)] * 10
+        p = tp.plan(sc)
+        peaks = []
+        for n_jobs in (50_000, 400_000):
+            cfg = SimConfig(n_jobs=n_jobs, warmup=1_000, seed=1, mode=SHARED_EDGE)
+            tracemalloc.start()
+            try:
+                simulate_system(p, sc, cfg, overrides=overrides)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 class TestAgreementProperty:
