@@ -2,8 +2,8 @@
 
 Plans per-user job-offloading shares and carrier frequencies so that the
 total distance over which terahertz links can still deliver their URLLC
-targets is maximized, and validates its own closed forms by brute force and
-Monte-Carlo simulation.
+targets is maximized, and validates its own closed forms against independent
+oracles and Monte-Carlo simulation.
 """
 
 from .channel import (

@@ -24,13 +24,11 @@ from typing import List, Optional, Sequence, Tuple
 from . import __version__
 from .channel import (
     SUPERMODULAR_FREQ_GHZ,
-    FrequencyGrid,
     achievable_distance,
     data_rate,
     supermodularity_gap,
 )
 from .optimizer import (
-    _BRUTE_FORCE_MAX_USERS,
     INFEASIBLE,
     FEASIBLE,
     Plan,
@@ -331,21 +329,8 @@ def _verify_assignment(scenario: Scenario, result: Plan, lines: List[str]) -> in
     if not rates:
         lines.append("note assignment check skipped: no rate-constrained users")
         return 0
-    if len(rates) > _BRUTE_FORCE_MAX_USERS:
-        lines.append(
-            f"note permutation check skipped: {len(rates)} users exceed brute-force "
-            f"cap of {_BRUTE_FORCE_MAX_USERS}"
-        )
-        return 0
     heuristic_band = max(scenario.grid.freqs_ghz) > SUPERMODULAR_FREQ_GHZ
-    search_grid = scenario.grid
-    if math.perm(len(scenario.grid), len(rates)) > 2_000_000:
-        # loss grows with carrier here, so the K lowest carriers suffice
-        search_grid = FrequencyGrid(scenario.grid.freqs_ghz[: len(rates)])
-        lines.append(
-            f"note brute force restricted to the {len(rates)} lowest carriers"
-        )
-    brute = brute_force_assignment(rates, search_grid, scenario.radio, scenario.fit)
+    brute = brute_force_assignment(rates, scenario.grid, scenario.radio, scenario.fit)
     sorted_total = sum(
         achievable_distance(scenario.fit, scenario.radio, f, r)
         for f, r in zip(freqs, rates)

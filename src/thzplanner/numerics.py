@@ -1,4 +1,4 @@
-"""Scalar numerical kernels: Lambert W, bracketed minimization, bisection.
+"""Numerical kernels: Lambert W, bracketed minimization, bisection, assignment.
 
 Everything here is dependency-free on purpose.  The planner inverts its
 link-budget and queueing expressions through these routines, and keeping
@@ -9,7 +9,7 @@ independent oracles used in the test suite.
 from __future__ import annotations
 
 import math
-from typing import Callable, Tuple
+from typing import Callable, Sequence, Tuple
 
 _E = math.e
 _INV_E = math.exp(-1.0)
@@ -218,3 +218,47 @@ def find_root(
             hi = mid
     return 0.5 * (lo + hi)
 
+
+def min_cost_assignment(cost: Sequence[Sequence[float]]) -> Tuple[int, ...]:
+    """Distinct column for each row of a K x M cost matrix (K <= M), least total.
+
+    Hungarian method in shortest-augmenting-path form (Kuhn 1955; Jonker &
+    Volgenant 1987): each row joins along the cheapest path in reduced
+    costs, O(K^2 M) in all.  Costs must be finite.
+    """
+    k = len(cost)
+    m = len(cost[0]) if k else 0
+    if not 0 < k <= m:
+        raise ValueError(f"need 1 <= rows <= columns, got {k} x {m}")
+    u = [0.0] * (k + 1)  # row potentials, 1-based; index 0 unused
+    v = [0.0] * (m + 1)  # column potentials; column 0 is the path root
+    row_of = [0] * (m + 1)  # 1-based row holding each column, 0 when free
+    way = [0] * (m + 1)
+    for i in range(1, k + 1):
+        row_of[0] = i
+        j0 = 0
+        slack = [math.inf] * (m + 1)
+        used = [False] * (m + 1)
+        while row_of[j0]:
+            used[j0] = True
+            i0 = row_of[j0]
+            delta, j1 = math.inf, 0
+            for j in range(1, m + 1):
+                if not used[j]:
+                    cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
+                    if cur < slack[j]:
+                        slack[j], way[j] = cur, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(m + 1):
+                if used[j]:
+                    u[row_of[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:  # flip the augmenting path back to the root
+            row_of[j0] = row_of[way[j0]]
+            j0 = way[j0]
+    col_of = {row_of[j]: j - 1 for j in range(1, m + 1)}
+    return tuple(col_of[i] for i in range(1, k + 1))

@@ -5,16 +5,16 @@ offloading share beta (the requirement is the only coupling between the
 queueing side and the radio side), then carriers are matched to users by
 sorting: lowest rate requirement gets the lowest carrier.  At or below
 215 GHz the distance function has increasing differences in (rate, carrier),
-which makes the sorted matching provably the best of all assignments; the
-brute-force enumerator below exists to check exactly that claim.
+which makes the sorted matching provably the best of all assignments;
+`brute_force_assignment` checks exactly that claim with an exact assignment
+solver (its name predates the solver and is kept for the benchmark tracer).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .channel import (
     DEFAULT_ATTENUATION_FIT,
@@ -24,7 +24,7 @@ from .channel import (
     RadioParams,
     achievable_distance,
 )
-from .numerics import minimize_scalar
+from .numerics import min_cost_assignment, minimize_scalar
 from .reliability import (
     EdgeProfile,
     InfeasibleError,
@@ -38,7 +38,6 @@ from .reliability import (
 
 # keeps the open interval (1 - mu_l/lambda, 1] open at its left end
 _BETA_EDGE_OFFSET = 1e-9
-_BRUTE_FORCE_MAX_USERS = 9
 
 FEASIBLE = "feasible"
 UNCONSTRAINED = "unconstrained"
@@ -166,41 +165,25 @@ def brute_force_assignment(
     radio: RadioParams,
     fit: GaussianFit = DEFAULT_ATTENUATION_FIT,
 ) -> BruteForceResult:
-    """Enumerate every injective user->carrier map and keep the extremes.
+    """Best and worst injective user->carrier maps over the whole grid.
 
-    Factorial cost; refuses more than 9 users.  This is the independent
-    check that sorted matching is optimal (and that the reversed order is
-    pessimal) under increasing differences.
+    The independent check that sorted matching is optimal (and the reversed
+    order pessimal) under increasing differences: two exact assignment
+    solves, on negated and on plain distances.  No permutation is
+    enumerated; the name is kept because the benchmark tracer binds it.
     """
-    k = len(thresholds)
-    if k == 0:
-        raise ValueError("need at least one threshold")
-    if k > _BRUTE_FORCE_MAX_USERS:
-        raise ValueError(
-            f"brute force limited to {_BRUTE_FORCE_MAX_USERS} users, got {k}"
-        )
-    if len(grid) < k:
-        raise ValueError(f"grid offers {len(grid)} carriers for {k} users")
-
     dist = [
         [achievable_distance(fit, radio, f, r) for f in grid.freqs_ghz]
         for r in thresholds
     ]
-    best_total = -math.inf
-    worst_total = math.inf
-    best_perm: Optional[Tuple[int, ...]] = None
-    for perm in itertools.permutations(range(len(grid)), k):
-        total = 0.0
-        for i, j in enumerate(perm):
-            total += dist[i][j]
-        if total > best_total:
-            best_total = total
-            best_perm = perm
-        if total < worst_total:
-            worst_total = total
-    assert best_perm is not None
-    assignment = tuple(grid.freqs_ghz[j] for j in best_perm)
-    return BruteForceResult(assignment, best_total, worst_total)
+    best = min_cost_assignment([[-d for d in row] for row in dist])
+    worst = min_cost_assignment(dist)
+    assignment = tuple(grid.freqs_ghz[j] for j in best)
+    return BruteForceResult(
+        assignment,
+        sum(dist[i][j] for i, j in enumerate(best)),
+        sum(dist[i][j] for i, j in enumerate(worst)),
+    )
 
 
 def _plan_user(

@@ -118,10 +118,6 @@ class QueueRates:
     u: float
     v: float
 
-    @property
-    def gap(self) -> float:
-        return self.v - self.u
-
 
 def queue_rates(
     user: UserProfile,

@@ -385,8 +385,7 @@ class TestVerifyCommand:
         rc = cli.main(["verify", REFERENCE])
         assert rc == 0
         out = capsys.readouterr().out
-        # ten users exceed the 9-user permutation cap
-        assert "permutation check skipped" in out
+        assert "ok   sorted assignment matches brute-force optimum (10 users)" in out
         assert "mixed differences positive" in out
 
     def test_log_domain_user_passes(self, tmp_path, capsys):

@@ -10,10 +10,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 from scipy.special import lambertw as scipy_lambertw
 
 from thzplanner import find_root, lambert_w, minimize_scalar
-from thzplanner.numerics import lambert_w_log_lower
+from thzplanner.numerics import lambert_w_log_lower, min_cost_assignment
 
 BRANCH_POINT = -1.0 / math.e
 
@@ -157,3 +158,26 @@ class TestFindRoot:
         r = find_root(lambda t: t, 0.0, 1.0)
         assert abs(r) < 1e-12
 
+
+
+class TestMinCostAssignment:
+    def test_matches_scipy_on_rectangular_and_tied_costs(self):
+        rng = np.random.default_rng(1987)
+        for trial in range(200):
+            k = int(rng.integers(1, 25))
+            cost = rng.normal(size=(k, k + int(rng.integers(0, 6))))
+            if trial % 2:
+                cost = np.round(cost)  # many equal-cost optima
+            cols = min_cost_assignment(cost.tolist())
+            assert len(set(cols)) == k
+            rows, ref = linear_sum_assignment(cost)
+            got = cost[np.arange(k), list(cols)].sum()
+            assert got == pytest.approx(cost[rows, ref].sum(), rel=1e-12, abs=1e-12)
+
+    def test_picks_the_off_diagonal_optimum(self):
+        assert min_cost_assignment([[4.0, 1.0, 6.0], [2.0, 0.0, 5.0]]) == (1, 0)
+
+    @pytest.mark.parametrize("cost", [[], [[1.0], [2.0]]])
+    def test_needs_rows_at_most_columns(self, cost):
+        with pytest.raises(ValueError):
+            min_cost_assignment(cost)

@@ -1,15 +1,18 @@
 """Planner: per-user share minimization, carrier matching, plan assembly.
 
 The share minimizer is checked against a dense grid scan of the exact same
-objective; carrier matching against explicit enumeration of all injective
-assignments.
+objective; carrier matching and the exact assignment solver behind
+brute_force_assignment against explicit enumeration of all injective
+assignments (kept here as a test-local reference) and against scipy.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import thzplanner as tp
 from thzplanner import (
@@ -33,6 +36,38 @@ from thzplanner import (
 REF = tp.reference_scenario()
 RADIO = tp.reference_radio()
 TASK = tp.reference_task()
+
+
+def distances(thresholds, grid):
+    """K x M matrix of achievable distances, users by carriers."""
+    return [
+        [tp.achievable_distance(tp.DEFAULT_ATTENUATION_FIT, RADIO, f, r)
+         for f in grid.freqs_ghz]
+        for r in thresholds
+    ]
+
+
+def enumerate_assignment(thresholds, grid):
+    """(best total, worst total) over every injective user->carrier map."""
+    dist = distances(thresholds, grid)
+    totals = [
+        sum(dist[i][j] for i, j in enumerate(perm))
+        for perm in itertools.permutations(range(len(grid)), len(thresholds))
+    ]
+    return max(totals), min(totals)
+
+
+def random_instance(rng, k, m, lo_ghz, hi_ghz):
+    freqs = FrequencyGrid(tuple(sorted(rng.uniform(lo_ghz, hi_ghz, m).tolist())))
+    thresholds = tuple((10.0 ** rng.uniform(7.5, 10.0, k)).tolist())
+    return thresholds, freqs
+
+
+def sorted_total(thresholds, grid):
+    return sum(
+        tp.achievable_distance(tp.DEFAULT_ATTENUATION_FIT, RADIO, f, r)
+        for f, r in zip(assign_frequencies(thresholds, grid), thresholds)
+    )
 
 
 def grid_scan(scenario, k, betas):
@@ -140,10 +175,55 @@ class TestAssignFrequencies:
         )
         assert worst == pytest.approx(bf.worst_total_m, rel=1e-12)
 
-    def test_brute_force_refuses_huge_instances(self):
-        grid = FrequencyGrid(tuple(100.0 + 5.0 * i for i in range(10)))
-        with pytest.raises(ValueError):
-            brute_force_assignment((1e9,) * 10, grid, RADIO)
+    @pytest.mark.parametrize("lo_ghz, hi_ghz", [(100.0, 215.0), (400.0, 600.0)])
+    def test_solver_matches_enumeration(self, lo_ghz, hi_ghz):
+        rng = np.random.default_rng(2718)
+        beaten = 0
+        for _ in range(20):
+            k = int(rng.integers(1, 8))
+            # M <= K + 3, capped at 9 carriers to keep enumeration under 2e5 maps
+            m = min(k + int(rng.integers(0, 4)), 9)
+            thresholds, grid = random_instance(rng, k, m, lo_ghz, hi_ghz)
+            bf = brute_force_assignment(thresholds, grid, RADIO)
+            best, worst = enumerate_assignment(thresholds, grid)
+            assert bf.best_total_m == pytest.approx(best, rel=1e-12)
+            assert bf.worst_total_m == pytest.approx(worst, rel=1e-12)
+            dist = distances(thresholds, grid)
+            picked = [grid.freqs_ghz.index(f) for f in bf.assignment]
+            assert len(set(picked)) == k
+            assert sum(dist[i][j] for i, j in enumerate(picked)) == bf.best_total_m
+            beaten += sorted_total(thresholds, grid) < best * (1.0 - 1e-9)
+        # above 215 GHz sorted matching is a heuristic: a solver that
+        # returned the sorted order would fail the totals above
+        assert (beaten > 0) == (lo_ghz > 215.0)
+
+    @pytest.mark.parametrize("lo_ghz, hi_ghz", [(100.0, 215.0), (400.0, 600.0)])
+    def test_solver_matches_scipy(self, lo_ghz, hi_ghz):
+        rng = np.random.default_rng(1955)
+        for k in (1, 2, 5, 10, 17, 25, 40):
+            m = k + int(rng.integers(0, 6))
+            thresholds, grid = random_instance(rng, k, m, lo_ghz, hi_ghz)
+            bf = brute_force_assignment(thresholds, grid, RADIO)
+            dist = np.array(distances(thresholds, grid))
+            rows, cols = linear_sum_assignment(dist, maximize=True)
+            assert bf.best_total_m == pytest.approx(dist[rows, cols].sum(), rel=1e-12)
+            rows, cols = linear_sum_assignment(dist)
+            assert bf.worst_total_m == pytest.approx(dist[rows, cols].sum(), rel=1e-12)
+
+    def test_ten_users_on_the_full_grid(self):
+        # beyond the reach of enumeration; sorted matching is optimal here
+        grid = FrequencyGrid(tuple(100.0 + 5.0 * i for i in range(12)))
+        thresholds = tuple(np.geomspace(1e8, 3e9, 10).tolist()[::-1])
+        bf = brute_force_assignment(thresholds, grid, RADIO)
+        assert bf.assignment == assign_frequencies(thresholds, grid)
+        assert bf.best_total_m == pytest.approx(sorted_total(thresholds, grid), rel=1e-12)
+        assert bf.worst_total_m < bf.best_total_m
+
+    def test_no_users_or_too_few_carriers_rejected(self):
+        grid = FrequencyGrid((110.0, 130.0))
+        for thresholds in ((), (1e9,) * 3):
+            with pytest.raises(ValueError):
+                brute_force_assignment(thresholds, grid, RADIO)
 
 
 class TestPlan:
