@@ -46,8 +46,8 @@ def main() -> None:
 
     print("=== where sorted carrier assignment stops being provable ===")
     x = tp.attenuation_crossover(FIT)
-    print(f"f gamma'(f) = gamma(f) at {x:.4f} GHz; the planner trusts sorted")
-    print(f"matching up to {tp.SUPERMODULAR_FREQ_GHZ:.0f} GHz and warns beyond.")
+    print(f"f gamma'(f) = gamma(f) at {x:.4f} GHz; below it sorted matching is")
+    print("optimal, and the planner solves the assignment exactly everywhere.")
     gaps = [
         tp.supermodularity_gap(FIT, RADIO, 5e8, 2e9, f, f + 10.0)
         for f in np.arange(100.0, 210.0, 10.0)

@@ -41,7 +41,7 @@ def main() -> None:
     sorted_assign = tp.assign_frequencies(thresholds, small_grid)
     bf = tp.brute_force_assignment(thresholds, small_grid, sc.radio)
     print(f"sorted matching:  {sorted_assign}")
-    print(f"best of 720 perms: {bf.assignment}")
+    print(f"exact optimum:    {bf.assignment}")
     print(f"identical: {sorted_assign == bf.assignment}; "
           f"worst ordering loses {bf.best_total_m - bf.worst_total_m:.3f} m\n")
 

@@ -11,7 +11,6 @@ from .channel import (
     FREQ_MAX_GHZ,
     FREQ_MIN_GHZ,
     SPEED_OF_LIGHT,
-    SUPERMODULAR_FREQ_GHZ,
     FrequencyGrid,
     GaussianFit,
     RadioParams,

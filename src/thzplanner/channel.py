@@ -26,11 +26,6 @@ FREQ_MAX_GHZ = 1000.0
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
 
-# Above this carrier the sorted-assignment optimality guarantee no longer
-# holds (the attenuation crossover sits at ~216.57 GHz; 215 GHz is the
-# conservative planning bound).
-SUPERMODULAR_FREQ_GHZ = 215.0
-
 
 @dataclass(frozen=True)
 class GaussianFit:
@@ -213,9 +208,10 @@ def supermodularity_gap(
 ) -> float:
     """Mixed second difference of distance over {rates} x {carriers}.
 
-    d(R_hi, f_hi) + d(R_lo, f_lo) - d(R_hi, f_lo) - d(R_lo, f_hi); positive
-    whenever rate_lo < rate_hi and freq_lo < freq_hi stay at or below the
-    215 GHz planning bound, which is what makes sorted matching optimal.
+    d(R_hi, f_hi) + d(R_lo, f_lo) - d(R_hi, f_lo) - d(R_lo, f_hi).  Positive
+    values over a grid make sorted matching optimal there; on the default
+    fit they are positive for rate_lo < rate_hi and freq_lo < freq_hi below
+    the attenuation crossover, and the sign depends on the fit elsewhere.
     """
     if rate_lo_bps > rate_hi_bps:
         raise ValueError("need rate_lo_bps <= rate_hi_bps")

@@ -2,12 +2,12 @@
 
 For each user the transmission-rate requirement is minimized over the
 offloading share beta (the requirement is the only coupling between the
-queueing side and the radio side), then carriers are matched to users by
-sorting: lowest rate requirement gets the lowest carrier.  At or below
-215 GHz the distance function has increasing differences in (rate, carrier),
-which makes the sorted matching provably the best of all assignments;
-`brute_force_assignment` checks exactly that claim with an exact assignment
-solver (its name predates the solver and is kept for the benchmark tracer).
+queueing side and the radio side), then carriers go to users by an exact
+assignment solve over the whole grid that maximizes total distance.  Where
+distance has increasing differences in (rate, carrier) that optimum is the
+paper's sorted matching, `assign_frequencies`, which tests and demos
+compare against.  `brute_force_assignment` is the independent check of the
+optimum (its name predates the solver and is kept for the benchmark tracer).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import List, Sequence, Tuple
 
 from .channel import (
     DEFAULT_ATTENUATION_FIT,
-    SUPERMODULAR_FREQ_GHZ,
     FrequencyGrid,
     GaussianFit,
     RadioParams,
@@ -212,29 +211,40 @@ def _plan_user(
 def plan(scenario: Scenario, force_offload_all: bool = False) -> Plan:
     """Plan offloading shares, rates, carriers, and coverage distances.
 
-    Users whose reliability target is met locally (rate 0) receive the
-    highest leftover carriers and the configured distance cap, keeping the
-    sorted matching intact for everyone that actually needs the link.
-    Users that cannot meet the target are flagged infeasible with zero
-    distance and no carrier.  force_offload_all pins beta to 1, the
-    no-local-compute baseline.
+    Rate-constrained users get the carriers that maximize their total
+    distance (exact assignment over the full grid; equal rates take
+    ascending carriers in user index order).  Users whose reliability target
+    is met locally (rate 0) receive the highest leftover carriers and the
+    configured distance cap.  Users that cannot meet the target are flagged
+    infeasible with zero distance and no carrier.  force_offload_all pins
+    beta to 1, the no-local-compute baseline.
     """
     k_users = len(scenario.users)
     outcomes = [_plan_user(scenario, k, force_offload_all) for k in range(k_users)]
 
-    constrained = [k for k in range(k_users) if outcomes[k][0] == FEASIBLE]
+    constrained = sorted(
+        (k for k in range(k_users) if outcomes[k][0] == FEASIBLE),
+        key=lambda k: (outcomes[k][2], k),
+    )
     free_riders = [k for k in range(k_users) if outcomes[k][0] == UNCONSTRAINED]
 
+    grid = scenario.grid.freqs_ghz
     freqs = [math.nan] * k_users
+    dists = [0.0] * k_users
+    cols: Tuple[int, ...] = ()
     if constrained:
-        sub_assign = assign_frequencies(
-            [outcomes[k][2] for k in constrained],
-            FrequencyGrid(scenario.grid.freqs_ghz[: len(constrained)]),
-        )
-        for k, f in zip(constrained, sub_assign):
-            freqs[k] = f
+        rates = [outcomes[k][2] for k in constrained]
+        matrix = [
+            [achievable_distance(scenario.fit, scenario.radio, f, r) for f in grid]
+            for r in rates
+        ]
+        best = min_cost_assignment([[-d for d in row] for row in matrix])
+        # equal rates are interchangeable: ascending carriers in user order
+        cols = tuple(j for _, j in sorted(zip(rates, best)))
+        for k, row, j in zip(constrained, matrix, cols):
+            freqs[k], dists[k] = grid[j], row[j]
     # the unconstrained get the top leftovers; any carrier works for them
-    leftovers = list(scenario.grid.freqs_ghz[len(constrained):])
+    leftovers = [f for j, f in enumerate(grid) if j not in cols]
     for k in free_riders:
         freqs[k] = leftovers.pop()
 
@@ -245,7 +255,7 @@ def plan(scenario: Scenario, force_offload_all: bool = False) -> Plan:
     for k in range(k_users):
         status, beta, rate = outcomes[k]
         if status == FEASIBLE:
-            dist = achievable_distance(scenario.fit, scenario.radio, freqs[k], rate)
+            dist = dists[k]
             load += beta * scenario.users[k].arrival_rate
         elif status == UNCONSTRAINED:
             dist = scenario.max_distance_m
@@ -268,14 +278,6 @@ def plan(scenario: Scenario, force_offload_all: bool = False) -> Plan:
     if not edge_stable:
         warnings.append(
             f"edge load {load:.6g} jobs/s does not stay below capacity {mu_m:.6g} jobs/s"
-        )
-    high = [f for f in freqs if f == f and f > SUPERMODULAR_FREQ_GHZ]
-    if high:
-        warnings.append(
-            "carriers above {:.0f} GHz assigned ({}); sorted matching is a heuristic "
-            "there, not a guarantee".format(
-                SUPERMODULAR_FREQ_GHZ, ", ".join(f"{f:g} GHz" for f in sorted(high))
-            )
         )
     if any(outcomes[k][0] == INFEASIBLE for k in range(k_users)):
         bad = [str(k) for k in range(k_users) if outcomes[k][0] == INFEASIBLE]

@@ -4,7 +4,7 @@ Each test prints a single pass line (visible with -s or in failure output)
 carrying the measured worst-case error and runtime against its budget.
 Tolerances and instance counts are fixed; seeds are pinned so reruns are
 bit-identical.  Oracles are independent routes: scipy quadrature, plain
-bisection, explicit permutation enumeration, and Monte-Carlo simulation.
+bisection, an exact assignment solve, and Monte-Carlo simulation.
 """
 
 import math

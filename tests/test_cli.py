@@ -6,6 +6,7 @@ discrepancy, 4 verification failure.
 """
 
 import csv
+import dataclasses
 import math
 import os
 import re
@@ -68,6 +69,21 @@ grid: {freqs_ghz: [1.5e+2]}
 users:
   - {lambda_jobs_per_s: 1.0e-1, f_l_cycles_per_s: 1.0e+3}
 """
+
+
+def water_line_yaml(tmp_path):
+    """reference_k10 with a 183.3 GHz water line (ITU-R P.676) in place of
+    the 447.7 GHz term and carriers added at 183 and 186 GHz."""
+    text = (ROOT / REFERENCE).read_text().replace(
+        "180.0, 190.0]", "180.0, 183.0, 186.0, 190.0]"
+    )
+    terms = tp.DEFAULT_ATTENUATION_FIT.terms[:-1] + ((2000.0, 183.3, 3.0),)
+    text += "fit:\n" + "".join(
+        f"  - {{a_db_per_km: {a!r}, b_ghz: {b!r}, c_ghz: {c!r}}}\n" for a, b, c in terms
+    )
+    path = tmp_path / "water_line.yaml"
+    path.write_text(text)
+    return str(path)
 
 
 def read_csv(path):
@@ -417,6 +433,42 @@ class TestVerifyCommand:
         assert cli.main(["verify", str(path)]) == 0
         assert seen and all(lo < hi for lo, hi in seen)
         assert "mixed differences positive" in capsys.readouterr().out
+
+    def test_water_line_fit_passes_with_note(self, tmp_path, capsys):
+        """Mixed differences turn negative next to the water line; the plan
+        solves the assignment exactly, so that is a note, not a failure."""
+        path = water_line_yaml(tmp_path)
+        assert cli.main(["verify", path]) == 0
+        out = capsys.readouterr().out
+        assert "ok   sorted assignment matches brute-force optimum (10 users)" in out
+        assert re.search(
+            r"^note mixed difference -\S+ m on carriers 186-190 GHz: .*"
+            r"the plan uses the exact assignment$",
+            out,
+            re.M,
+        )
+        assert "FAIL" not in out and "warn" not in out
+        assert cli.main(["plan", path, "-o", str(tmp_path / "plan.csv")]) == 0
+        assert "total coverage 511.579187728 m" in capsys.readouterr().out
+
+    def test_swapped_carriers_fail_the_assignment_check(self, capsys, monkeypatch):
+        real_plan = cli.plan
+
+        def swapped(scenario, **kwargs):
+            p = real_plan(scenario, **kwargs)
+            users = list(p.users)
+            a, b = users[0], users[9]
+            users[0] = dataclasses.replace(a, freq_ghz=b.freq_ghz)
+            users[9] = dataclasses.replace(b, freq_ghz=a.freq_ghz)
+            return dataclasses.replace(p, users=tuple(users))
+
+        monkeypatch.setattr(cli, "plan", swapped)
+        assert cli.main(["verify", REFERENCE]) == 4
+        out = capsys.readouterr().out
+        assert re.search(
+            r"^FAIL sorted assignment differs from brute force by \S+ rel$", out, re.M
+        )
+        assert "verification FAILED: 1 check(s)" in out
 
     def test_missing_file_exits_1(self):
         assert cli.main(["verify", "/nonexistent.yaml"]) == 1

@@ -21,6 +21,7 @@ from thzplanner import (
     UNCONSTRAINED,
     EdgeProfile,
     FrequencyGrid,
+    GaussianFit,
     InfeasibleError,
     QosTarget,
     Scenario,
@@ -68,6 +69,27 @@ def sorted_total(thresholds, grid):
         tp.achievable_distance(tp.DEFAULT_ATTENUATION_FIT, RADIO, f, r)
         for f, r in zip(assign_frequencies(thresholds, grid), thresholds)
     )
+
+
+def water_line_scenario():
+    """reference_k10 with a 183.3 GHz water line (ITU-R P.676) in place of
+    the 447.7 GHz term and carriers added at 183 and 186 GHz: distance
+    loses increasing differences there, so sorted matching is not optimal."""
+    terms = tp.DEFAULT_ATTENUATION_FIT.terms[:-1] + ((2000.0, 183.3, 3.0),)
+    grid = FrequencyGrid(tuple(sorted(REF.grid.freqs_ghz + (183.0, 186.0))))
+    return dataclasses.replace(REF, fit=GaussianFit(terms), grid=grid)
+
+
+def optimal_total(scenario, p):
+    """scipy's maximum total distance for the plan's rate-constrained users."""
+    rates = [row.rate_bps for row in p.users if row.status == FEASIBLE]
+    dist = np.array([
+        [tp.achievable_distance(scenario.fit, scenario.radio, f, r)
+         for f in scenario.grid.freqs_ghz]
+        for r in rates
+    ])
+    rows, cols = linear_sum_assignment(dist, maximize=True)
+    return dist[rows, cols].sum()
 
 
 def grid_scan(scenario, k, betas):
@@ -193,8 +215,9 @@ class TestAssignFrequencies:
             assert len(set(picked)) == k
             assert sum(dist[i][j] for i, j in enumerate(picked)) == bf.best_total_m
             beaten += sorted_total(thresholds, grid) < best * (1.0 - 1e-9)
-        # above 215 GHz sorted matching is a heuristic: a solver that
-        # returned the sorted order would fail the totals above
+        # on 400-600 GHz the default fit's mixed differences change sign, so
+        # sorted matching loses coverage: a solver that returned the sorted
+        # order would fail the totals above
         assert (beaten > 0) == (lo_ghz > 215.0)
 
     @pytest.mark.parametrize("lo_ghz, hi_ghz", [(100.0, 215.0), (400.0, 600.0)])
@@ -291,11 +314,72 @@ class TestPlan:
         assert all(row.distance_m <= 100.0 for row in p.users)
         assert p.total_distance_m <= 1000.0
 
-    def test_carrier_above_planning_bound_warns(self):
-        grid = FrequencyGrid(tuple(REF.grid.freqs_ghz[:-1]) + (250.0,))
-        sc = dataclasses.replace(REF, grid=grid)
+    @pytest.mark.parametrize(
+        "freqs",
+        [
+            tuple(400.0 + 18.0 * i for i in range(12)),
+            REF.grid.freqs_ghz[:-1] + (250.0,),
+        ],
+        ids=["400-600GHz", "spans-215GHz"],
+    )
+    def test_default_fit_grid_is_planned_exactly(self, freqs):
+        sc = dataclasses.replace(REF, grid=FrequencyGrid(freqs))
         p = plan(sc)
-        assert any("215" in w for w in p.warnings)
+        assert all(row.status == FEASIBLE for row in p.users)
+        assert p.total_distance_m == pytest.approx(optimal_total(sc, p), rel=1e-12)
+        assert p.warnings == ()
+
+    def test_water_line_fit_is_planned_exactly(self):
+        sc = water_line_scenario()
+        p = plan(sc)
+        assert p.warnings == ()
+        assert p.total_distance_m == pytest.approx(optimal_total(sc, p), rel=1e-12)
+        assert p.total_distance_m == pytest.approx(511.579187728, rel=1e-11)
+        # sorted matching on the lowest carriers gives up about 6% here
+        rates = [row.rate_bps for row in p.users]
+        lowest = FrequencyGrid(sc.grid.freqs_ghz[: len(rates)])
+        sorted_sum = sum(
+            tp.achievable_distance(sc.fit, RADIO, f, r)
+            for f, r in zip(assign_frequencies(rates, lowest), rates)
+        )
+        assert sorted_sum < 0.95 * p.total_distance_m
+
+    def test_equal_rates_take_ascending_carriers_in_index_order(self):
+        # on this grid the solver alone would hand the tied users carriers
+        # out of index order
+        grid = FrequencyGrid(tuple(400.0 + 20.0 * i for i in range(8)))
+        sc = dataclasses.replace(REF, grid=grid, users=(REF.users[0],) * 5)
+        p = plan(sc)
+        assert len({row.rate_bps for row in p.users}) == 1
+        assert [row.freq_ghz for row in p.users] == [400.0, 420.0, 440.0, 460.0, 480.0]
+
+    def test_low_band_plan_is_sorted_matching(self):
+        # at or below 215 GHz the default fit has increasing differences, so
+        # the exact plan is the paper's sorted matching on the lowest carriers
+        rng = np.random.default_rng(215)
+        checked = 0
+        for _ in range(15):
+            k = int(rng.integers(1, 11))
+            m = k + int(rng.integers(0, 4))
+            freqs = rng.choice(np.arange(100.0, 215.5, 0.5), m, replace=False)
+            users = tuple(
+                UserProfile(arrival_rate=float(lam), local_cpu_hz=float(cpu))
+                for lam, cpu in zip(rng.uniform(2.0, 25.0, k), rng.uniform(2e8, 2e9, k))
+            )
+            sc = dataclasses.replace(
+                REF, grid=FrequencyGrid(tuple(sorted(freqs.tolist()))), users=users
+            )
+            p = plan(sc)
+            rows = [row for row in p.users if row.status == FEASIBLE]
+            if not rows:
+                continue
+            expected = assign_frequencies(
+                [row.rate_bps for row in rows],
+                FrequencyGrid(sc.grid.freqs_ghz[: len(rows)]),
+            )
+            assert tuple(row.freq_ghz for row in rows) == expected
+            checked += len(rows) > 1
+        assert checked >= 10
 
     def test_grid_shorter_than_user_list_rejected(self):
         with pytest.raises(ValueError):
