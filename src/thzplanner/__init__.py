@@ -55,6 +55,7 @@ from .reliability import (
     UserProfile,
     edge_reliability,
     local_reliability,
+    min_stable_share,
     queue_rates,
     rate_threshold,
     rate_threshold_oracle,

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .numerics import find_root, lambert_w
+from .numerics import find_root, lambert_w, lambert_w_log
 
 SPEED_OF_LIGHT = 3.0e8  # m/s, planning convention
 FREQ_MIN_GHZ = 100.0
@@ -186,15 +186,29 @@ def achievable_distance(
     dB/m and chi the link budget from link_budget_db,
 
         d = (20 / (gamma_m ln 10)) * W0((gamma_m ln 10 / (20 f)) * 10^(chi/20)).
+
+    Without absorption (gamma_m = 0) spreading alone spends the budget,
+    d = 10^(chi/20) / f (inf past the float range).  When W's argument
+    overflows, W0 is taken from its logarithm.  A negative absorption fit
+    gives 0.
     """
     _check_freq(freq_ghz)
     chi = link_budget_db(radio, rate_bps)
     gamma_m = gaseous_attenuation(fit, freq_ghz) / 1000.0  # dB/m
     freq_hz = freq_ghz * 1e9
     scale = gamma_m * _LN10 / 20.0
-    arg = (scale / freq_hz) * math.exp(chi * (_LN10 / 20.0))
-    if arg <= 0.0 or math.isinf(arg):
-        return 0.0 if arg <= 0.0 else math.inf
+    log_gain = chi * (_LN10 / 20.0)  # ln 10^(chi/20)
+    try:
+        gain = math.exp(log_gain)
+    except OverflowError:
+        gain = math.inf
+    if scale == 0.0:
+        return gain / freq_hz
+    arg = (scale / freq_hz) * gain
+    if arg <= 0.0:
+        return 0.0
+    if math.isinf(arg):
+        return lambert_w_log(math.log(scale / freq_hz) + log_gain) / scale
     return lambert_w(arg, 0) / scale
 
 

@@ -35,6 +35,7 @@ from .optimizer import (
 from .reliability import (
     InfeasibleError,
     StabilityError,
+    min_stable_share,
     rate_threshold,
     rate_threshold_oracle,
 )
@@ -266,9 +267,7 @@ def _verify_thresholds(scenario: Scenario, lines: List[str]) -> int:
     failures = 0
     checked = 0
     for k, user in enumerate(scenario.users):
-        lam = user.arrival_rate
-        mu_l = user.local_service_rate(scenario.task)
-        beta_lo = 0.0 if lam <= 0.0 else max(0.0, 1.0 - mu_l / lam)
+        beta_lo = min_stable_share(user, scenario.task)
         worst = 0.0
         for j in range(1, 22):
             beta = beta_lo + (1.0 - beta_lo) * j / 21.0

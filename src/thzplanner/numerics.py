@@ -14,6 +14,9 @@ from typing import Callable, Sequence, Tuple
 _E = math.e
 _INV_E = math.exp(-1.0)
 _MAX_HALLEY_ITER = 64
+# minimize_scalar: grid points of the coarse scan, final bracket width
+_SCAN_SAMPLES = 1024
+_MINIMIZE_TOL = 1e-8
 
 
 def _halley_w(x: float, w: float) -> float:
@@ -121,25 +124,41 @@ def lambert_w_log_lower(q: float) -> float:
     return min(w, -1.0)
 
 
+def lambert_w_log(q: float) -> float:
+    """Principal-branch Lambert W evaluated from log-domain input.
+
+    Solves w + log(w) = q for w > 0, which is W0(exp(q)) without ever
+    forming exp(q).  Used when the argument of W would overflow.  Requires
+    q > 1, where the Newton iteration from w = q - log(q) (below the root:
+    the map is concave and increasing) overshoots once and then descends
+    monotonically.
+    """
+    if not q > 1.0:
+        raise ValueError("lambert_w_log needs q > 1")
+    w = q - math.log(q)
+    for _ in range(_MAX_HALLEY_ITER):
+        step = (w + math.log(w) - q) / (1.0 + 1.0 / w)
+        w -= step
+        if abs(step) <= 1e-15 * w:
+            break
+    return w
+
+
 def minimize_scalar(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    tol: float = 1e-8,
-    samples: int = 1024,
 ) -> Tuple[float, float]:
     """Minimize f on [lo, hi]: coarse grid scan, then golden-section refine.
 
-    The grid stage locates the basin (the objectives here can be flat or
-    one-sided near a stability boundary), golden section then shrinks the
-    bracket below tol.  f may return inf/nan to mark invalid points; those
-    are skipped.  Returns (x, f(x)) for the best point actually evaluated,
+    The grid stage (_SCAN_SAMPLES points) locates the basin (the objectives
+    here can be flat or one-sided near a stability boundary), golden section
+    then shrinks the bracket below _MINIMIZE_TOL.  f may return inf/nan to
+    mark invalid points; those are skipped.  Returns (x, f(x)) for the best point actually evaluated,
     so the reported value is exact.  Deterministic for identical inputs.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
-    if samples < 3:
-        raise ValueError("need at least 3 grid samples")
 
     def _eval(x: float) -> float:
         v = f(x)
@@ -147,7 +166,7 @@ def minimize_scalar(
 
     best_x = lo
     best_v = math.inf
-    n = samples
+    n = _SCAN_SAMPLES
     step = (hi - lo) / (n - 1)
     best_i = -1
     for i in range(n):
@@ -171,7 +190,7 @@ def minimize_scalar(
     fc = _eval(c)
     fd = _eval(d)
     for _ in range(512):
-        if (b - a) <= tol:
+        if (b - a) <= _MINIMIZE_TOL:
             break
         if fc < fd:
             b, d, fd = d, c, fc
@@ -224,12 +243,15 @@ def min_cost_assignment(cost: Sequence[Sequence[float]]) -> Tuple[int, ...]:
 
     Hungarian method in shortest-augmenting-path form (Kuhn 1955; Jonker &
     Volgenant 1987): each row joins along the cheapest path in reduced
-    costs, O(K^2 M) in all.  Costs must be finite.
+    costs, O(K^2 M) in all.  Costs must be finite: an infinite one would
+    keep the path search from ever reaching a free column.
     """
     k = len(cost)
     m = len(cost[0]) if k else 0
     if not 0 < k <= m:
         raise ValueError(f"need 1 <= rows <= columns, got {k} x {m}")
+    if not all(all(map(math.isfinite, row)) for row in cost):
+        raise ValueError("assignment costs must be finite")
     u = [0.0] * (k + 1)  # row potentials, 1-based; index 0 unused
     v = [0.0] * (m + 1)  # column potentials; column 0 is the path root
     row_of = [0] * (m + 1)  # 1-based row holding each column, 0 when free

@@ -32,6 +32,7 @@ from .reliability import (
     TaskProfile,
     UserProfile,
     local_reliability,
+    min_stable_share,
     rate_threshold,
 )
 
@@ -100,16 +101,16 @@ def minimize_rate_threshold(scenario: Scenario, user_index: int) -> Tuple[float,
     """
     user = scenario.users[user_index]
     task, edge, qos = scenario.task, scenario.edge, scenario.qos
-    lam = user.arrival_rate
-    mu_l = user.local_service_rate(task)
 
-    beta_lo = 0.0 if lam <= 0.0 else max(0.0, 1.0 - mu_l / lam)
-    if beta_lo >= 1.0:
-        # no local capacity at all: everything must be offloaded
-        return 1.0, rate_threshold(user, task, edge, qos, 1.0)
-    if beta_lo == 0.0 and lam < mu_l:
+    beta_lo = min_stable_share(user, task)
+    if beta_lo == 0.0 and user.arrival_rate < user.local_service_rate(task):
         if local_reliability(user, task, 0.0, qos.delay_s) >= qos.min_reliability:
             return 0.0, 0.0
+    # at least one ulp above the floor, also where the offset rounds away
+    lo = max(beta_lo + _BETA_EDGE_OFFSET * (1.0 - beta_lo), math.nextafter(beta_lo, 1.0))
+    if lo >= 1.0:
+        # no local capacity (or less than an ulp): everything must be offloaded
+        return 1.0, rate_threshold(user, task, edge, qos, 1.0)
 
     def objective(beta: float) -> float:
         try:
@@ -117,9 +118,8 @@ def minimize_rate_threshold(scenario: Scenario, user_index: int) -> Tuple[float,
         except (InfeasibleError, StabilityError):
             return math.inf
 
-    lo = beta_lo + _BETA_EDGE_OFFSET * (1.0 - beta_lo) if beta_lo > 0.0 else _BETA_EDGE_OFFSET
     try:
-        beta_star, rate_star = minimize_scalar(objective, lo, 1.0, tol=1e-8)
+        beta_star, rate_star = minimize_scalar(objective, lo, 1.0)
     except ValueError as exc:
         # every share in the stable range is infeasible
         raise InfeasibleError(
@@ -189,16 +189,13 @@ def _plan_user(
     scenario: Scenario, k: int, force_offload_all: bool
 ) -> Tuple[str, float, float]:
     """Status, beta, rate for one user; never raises on infeasibility."""
-    user = scenario.users[k]
     try:
         if force_offload_all:
-            rate = rate_threshold(
-                user, scenario.task, scenario.edge, scenario.qos, 1.0
+            beta, rate = 1.0, rate_threshold(
+                scenario.users[k], scenario.task, scenario.edge, scenario.qos, 1.0
             )
-            if not math.isfinite(rate):
-                return INFEASIBLE, math.nan, math.nan
-            return FEASIBLE, 1.0, rate
-        beta, rate = minimize_rate_threshold(scenario, k)
+        else:
+            beta, rate = minimize_rate_threshold(scenario, k)
     except (InfeasibleError, StabilityError):
         return INFEASIBLE, math.nan, math.nan
     if not math.isfinite(rate):

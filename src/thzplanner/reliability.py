@@ -134,6 +134,13 @@ def queue_rates(
     )
 
 
+def min_stable_share(user: UserProfile, task: TaskProfile) -> float:
+    """Floor of the offloading shares: the local queue is stable exactly
+    when beta > 1 - mu_l/lambda, or at beta = 1, where no job stays local."""
+    lam, mu_l = user.arrival_rate, user.local_service_rate(task)
+    return 0.0 if lam <= 0.0 else max(0.0, 1.0 - mu_l / lam)
+
+
 def local_reliability(
     user: UserProfile, task: TaskProfile, beta: float, epsilon_s: float
 ) -> float:

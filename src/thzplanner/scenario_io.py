@@ -31,6 +31,7 @@ _USER_KEYS = ("lambda_jobs_per_s", "f_l_cycles_per_s")
 _FIT_KEYS = ("a_db_per_km", "b_ghz", "c_ghz")
 _CAPS_KEYS = ("max_distance_m",)
 _TOP_KEYS = ("task", "radio", "edge", "qos", "grid", "users", "fit", "caps")
+_SHA256_DIGITS = 16  # hex digits of the scenario hash kept in CSV provenance
 
 
 class ScenarioFormatError(ValueError):
@@ -210,10 +211,10 @@ def load_scenario(path: str) -> Scenario:
     return scenario_from_dict(data)
 
 
-def file_sha256(path: str, digits: int = 16) -> str:
-    """Leading hex digits of the file's SHA-256, for output provenance."""
+def file_sha256(path: str) -> str:
+    """Leading _SHA256_DIGITS hex digits of the file's SHA-256, for provenance."""
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
-    return h.hexdigest()[:digits]
+    return h.hexdigest()[:_SHA256_DIGITS]

@@ -184,36 +184,26 @@ class _Source:
         edge: EdgeProfile,
         beta: float,
         rate_bps: float,
+        delay_s: float,
         cfg: SimConfig,
     ) -> None:
-        """Checks the user's local, transmission and edge queues for
-        stability (the edge against this user's load alone) before opening
-        any stream."""
+        """Takes the analytic reliability before opening any stream, so an
+        unstable queue (the edge against this user's load alone) raises
+        StabilityError first."""
         import numpy as np
 
         lam = user.arrival_rate
         if lam <= 0.0:
             raise ValueError("simulation needs a positive arrival rate")
-        if not 0.0 <= beta <= 1.0:
-            raise ValueError("beta must lie in [0, 1]")
-        mu_l = user.local_service_rate(task)
-        if beta < 1.0 and mu_l <= (1.0 - beta) * lam:
-            raise StabilityError(
-                f"user {user_id}: local queue unstable at beta={beta:.6g}"
-            )
-        tx_rate = rate_bps / task.mean_job_bits if beta > 0.0 else 0.0
-        if beta > 0.0 and tx_rate <= beta * lam:
-            raise StabilityError(
-                f"user {user_id}: transmission queue unstable at beta={beta:.6g}"
-            )
-        mu_m = edge.service_rate(task)
-        if beta > 0.0 and mu_m <= beta * lam:
-            raise StabilityError(f"user {user_id}: edge queue unstable at beta={beta:.6g}")
+        try:
+            self.analytic = system_reliability(user, task, edge, beta, rate_bps, delay_s)
+        except StabilityError as exc:
+            raise StabilityError(f"user {user_id}: {exc}") from exc
 
         self.slot, self.user_id = slot, user_id
-        self.user, self.task, self.edge = user, task, edge
         self.beta, self.rate_bps = beta, rate_bps
-        self.lam, self.mu_l, self.tx_rate, self.mu_m = lam, mu_l, tx_rate, mu_m
+        self.lam, self.mu_l = lam, user.local_service_rate(task)
+        self.tx_rate, self.mu_m = rate_bps / task.mean_job_bits, edge.service_rate(task)
         self.streams = [_stream(cfg.seed, user_id, stage) for stage in range(_N_STAGES)]
         self.left = cfg.n_jobs  # jobs still to draw
         self.skip = cfg.warmup  # warmup jobs still to draw
@@ -328,14 +318,11 @@ def _simulate_group(
     for src, ok in zip(group, n_ok.tolist()):
         p_hat = ok / n_eff
         ci = 3.0 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_eff)
-        analytic = system_reliability(
-            src.user, src.task, src.edge, src.beta, src.rate_bps, delay
-        )
         rows.append(SimUserReport(
             user_id=src.user_id,
             beta=src.beta,
             rate_bps=src.rate_bps,
-            analytic=analytic,
+            analytic=src.analytic,
             empirical=p_hat,
             ci_radius=ci,
             n_effective=n_eff,
@@ -354,7 +341,7 @@ def simulate_user(
     user_id: int = 0,
 ) -> SimUserReport:
     """Single user against a private edge queue (the analytic model)."""
-    source = _Source(0, user_id, user, task, edge, beta, rate_bps, cfg)
+    source = _Source(0, user_id, user, task, edge, beta, rate_bps, qos.delay_s, cfg)
     return _simulate_group([source], qos, cfg)[0]
 
 
@@ -408,7 +395,8 @@ def simulate_system(
             f"shared edge overloaded: total offered load {load:.6g} >= {mu_m:.6g} jobs/s"
         )
     group = [
-        _Source(k, row.user_id, scenario.users[row.user_id], task, edge, b, r, cfg)
+        _Source(k, row.user_id, scenario.users[row.user_id], task, edge, b, r,
+                qos.delay_s, cfg)
         for k, (row, (b, r)) in enumerate(zip(p.users, pairs))
     ]
     rows = tuple(_simulate_group(group, qos, cfg))

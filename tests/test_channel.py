@@ -4,6 +4,7 @@ Frozen constants below were computed once with mpmath at 50 digits from the
 same seven-term Gaussian coefficients and are trusted as oracles here.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -148,6 +149,49 @@ class TestDistanceInversion:
             assert achievable_distance(
                 DEFAULT_ATTENUATION_FIT, RADIO, f, r
             ) == pytest.approx(ref, rel=1e-8)
+
+    def test_zero_absorption_is_free_space(self):
+        """With every fit amplitude zero, spreading alone spends the link
+        budget: d = 10^(chi/20) / f."""
+        no_absorption = GaussianFit(
+            terms=tuple((0.0, b, c) for _, b, c in DEFAULT_ATTENUATION_FIT.terms)
+        )
+        d = achievable_distance(no_absorption, RADIO, 150.0, 1e9)
+        assert d == pytest.approx(59.407076750, rel=1e-10)
+        for f in (100.0, 150.0, 560.0, 1000.0):
+            for r in (1e6, 1e9, 1e11):
+                d = achievable_distance(no_absorption, RADIO, f, r)
+                chi = link_budget_db(RADIO, r)
+                assert d == pytest.approx(10.0 ** (chi / 20.0) / (f * 1e9), rel=1e-13)
+                assert data_rate(no_absorption, RADIO, f, d) == pytest.approx(r, rel=1e-12)
+        # a budget past the float range gives an infinite free-space range
+        huge = dataclasses.replace(RADIO, noise_dbm=-10000.0)
+        assert achievable_distance(no_absorption, huge, 150.0, 1e9) == math.inf
+
+    def test_huge_link_budget_stays_finite(self):
+        """A budget whose 10^(chi/20) overflows takes W0 from its logarithm;
+        the distance still solves the loss equation."""
+        radio = dataclasses.replace(RADIO, noise_dbm=-10000.0)
+        for f, r in ((100.0, 1e6), (100.0, 1e9), (190.0, 1e11), (560.0, 1e9)):
+            chi = link_budget_db(radio, r)
+            assert chi / 20.0 > 308.0  # 10^(chi/20) is not a double
+            d = achievable_distance(DEFAULT_ATTENUATION_FIT, radio, f, r)
+            assert math.isfinite(d) and d > 0.0
+            assert data_rate(DEFAULT_ATTENUATION_FIT, radio, f, d) == pytest.approx(
+                r, rel=1e-9
+            )
+
+            def gap(d, f=f, chi=chi):
+                return (
+                    gaseous_attenuation(DEFAULT_ATTENUATION_FIT, f) * d / 1000.0
+                    + 20.0 * math.log10(f * 1e9 * d)
+                    - chi
+                )
+
+            assert d == pytest.approx(find_root(gap, 1.0, 1e9, tol=1e-10), rel=1e-8)
+        assert achievable_distance(
+            DEFAULT_ATTENUATION_FIT, radio, 100.0, 1e9
+        ) == pytest.approx(1.341665e6, rel=1e-6)
 
     def test_impossible_rate_gives_zero(self):
         assert achievable_distance(DEFAULT_ATTENUATION_FIT, RADIO, 150.0, 1e30) == 0.0

@@ -86,6 +86,17 @@ def water_line_yaml(tmp_path):
     return str(path)
 
 
+def zero_fit_yaml(tmp_path):
+    """reference_k10 with all seven fit amplitudes set to zero."""
+    terms = tuple((0.0, b, c) for _, b, c in tp.DEFAULT_ATTENUATION_FIT.terms)
+    text = (ROOT / REFERENCE).read_text() + "fit:\n" + "".join(
+        f"  - {{a_db_per_km: {a!r}, b_ghz: {b!r}, c_ghz: {c!r}}}\n" for a, b, c in terms
+    )
+    path = tmp_path / "zero_fit.yaml"
+    path.write_text(text)
+    return str(path)
+
+
 def read_csv(path):
     with open(path, encoding="utf-8") as fh:
         meta = fh.readline()
@@ -258,6 +269,34 @@ class TestPlanCommand:
         rc = cli.main(["plan", str(path), "-o", str(tmp_path / "x.csv")])
         assert rc == 1
         assert "finite" in capsys.readouterr().err
+
+    def test_zero_absorption_plans_free_space_distances(self, tmp_path):
+        path = zero_fit_yaml(tmp_path)
+        scenario = load_scenario(path)
+        out = tmp_path / "plan.csv"
+        assert cli.main(["plan", path, "-o", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        p = tp.plan(scenario)
+        for row, user in zip(rows[:-1], p.users):
+            chi = tp.link_budget_db(scenario.radio, user.rate_bps)
+            free_space = 10.0 ** (chi / 20.0) / (user.freq_ghz * 1e9)
+            assert user.distance_m == pytest.approx(free_space, rel=1e-12)
+            assert float(row[header.index("distance_m")]) == pytest.approx(
+                free_space, rel=1e-11
+            )
+        assert all(u.distance_m > 30.0 for u in p.users)
+
+    def test_huge_link_budget_plans_finite_distances(self, tmp_path, capsys):
+        path = tmp_path / "huge.yaml"
+        path.write_text(
+            (ROOT / REFERENCE).read_text().replace("noise_dbm: -40.0", "noise_dbm: -10000.0")
+        )
+        out = tmp_path / "plan.csv"
+        assert cli.main(["plan", str(path), "-o", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        dists = [float(r[header.index("distance_m")]) for r in rows]
+        assert all(math.isfinite(d) and d > 1e5 for d in dists)
+        assert capsys.readouterr().err == ""
 
     def test_missing_output_flag_exits_1(self):
         with pytest.raises(SystemExit) as exc:
@@ -450,6 +489,11 @@ class TestVerifyCommand:
         assert "FAIL" not in out and "warn" not in out
         assert cli.main(["plan", path, "-o", str(tmp_path / "plan.csv")]) == 0
         assert "total coverage 511.579187728 m" in capsys.readouterr().out
+
+    def test_zero_absorption_round_trip_checks_every_point(self, tmp_path, capsys):
+        assert cli.main(["verify", zero_fit_yaml(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "ok   distance/rate round-trip within 1e-9 rel (70 points" in out
 
     def test_swapped_carriers_fail_the_assignment_check(self, capsys, monkeypatch):
         real_plan = cli.plan

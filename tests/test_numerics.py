@@ -14,7 +14,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import lambertw as scipy_lambertw
 
 from thzplanner import find_root, lambert_w, minimize_scalar
-from thzplanner.numerics import lambert_w_log_lower, min_cost_assignment
+from thzplanner.numerics import lambert_w_log, lambert_w_log_lower, min_cost_assignment
 
 BRANCH_POINT = -1.0 / math.e
 
@@ -109,6 +109,29 @@ class TestLambertLogLower:
             lambert_w_log_lower(-0.5)
 
 
+class TestLambertLog:
+    """Solves w + ln(w) = q for q too large to form x = e^q."""
+
+    def test_identity(self):
+        for q in (1.0 + 1e-12, 1.5, 10.0, 709.0, 710.0, 1e4, 1e9, 1e300):
+            w = lambert_w_log(q)
+            assert w > 0.0
+            assert abs((w + math.log(w)) - q) <= 1e-14 * q
+
+    def test_agrees_with_direct_branch_where_both_work(self):
+        for q in (1.5, 5.0, 50.0, 500.0, 709.0):
+            direct = lambert_w(math.exp(q))
+            assert lambert_w_log(q) == pytest.approx(direct, rel=1e-14)
+            assert lambert_w_log(q) == pytest.approx(
+                float(scipy_lambertw(math.exp(q)).real), rel=1e-14
+            )
+
+    def test_rejects_q_at_or_below_one(self):
+        for q in (1.0, 0.0, -5.0):
+            with pytest.raises(ValueError):
+                lambert_w_log(q)
+
+
 class TestMinimizeScalar:
     def test_quadratic_interior(self):
         x, fx = minimize_scalar(lambda t: (t - 0.3) ** 2 + 1.0, 0.0, 1.0)
@@ -180,4 +203,11 @@ class TestMinCostAssignment:
     @pytest.mark.parametrize("cost", [[], [[1.0], [2.0]]])
     def test_needs_rows_at_most_columns(self, cost):
         with pytest.raises(ValueError):
+            min_cost_assignment(cost)
+
+    @pytest.mark.parametrize("bad", [-math.inf, math.inf, math.nan])
+    def test_needs_finite_costs(self, bad):
+        # many infinite costs would otherwise send the path search round forever
+        cost = [[bad, -1.0, bad], [bad, bad, -2.0], [-3.0, bad, bad]]
+        with pytest.raises(ValueError, match="finite"):
             min_cost_assignment(cost)

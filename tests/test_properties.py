@@ -5,10 +5,11 @@ failure reproduces on every run.  Scale parameters are drawn log-uniformly
 so that every decade of each range is visited.
 """
 
+import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import thzplanner as tp
@@ -17,14 +18,19 @@ from thzplanner import (
     EdgeProfile,
     InfeasibleError,
     QosTarget,
+    SimConfig,
     StabilityError,
     TaskProfile,
     UserProfile,
     achievable_distance,
     data_rate,
     lambert_w,
+    min_stable_share,
+    minimize_rate_threshold,
     rate_threshold,
     rate_threshold_oracle,
+    simulate_user,
+    system_reliability,
 )
 
 FIXED = settings(derandomize=True, deadline=None, max_examples=300)
@@ -93,3 +99,85 @@ def test_distance_round_trip(freq, rate):
     assert 0.0 < d < math.inf
     back = data_rate(DEFAULT_ATTENUATION_FIT, RADIO, freq, d)
     assert back == pytest.approx(rate, rel=1e-9)
+
+
+# unit job size and cycle count: the service rates in jobs/s are the very
+# doubles given as CPU speeds and link rate, so a boundary can be hit exactly
+UNIT_TASK = TaskProfile(mean_job_bits=1.0, mean_job_cycles=1.0)
+TINY_RUN = SimConfig(n_jobs=100, warmup=1, seed=0)
+
+
+@FIXED
+@given(
+    queue=st.sampled_from(("local", "transmission", "edge")),
+    lam=log_uniform(1e-2, 1e4),
+    beta=st.floats(0.0, 1.0),
+    ulps=st.sampled_from((-1, 0, 1)),
+)
+def test_simulator_refuses_exactly_the_unstable_queues(queue, lam, beta, ulps):
+    """At each stability boundary (mu_l = (1-beta) lambda, R/L = beta lambda,
+    mu_m = beta lambda) and one ulp to either side, the simulator refuses
+    a user exactly when the closed form does, naming the same queue."""
+    load = (1.0 - beta) * lam if queue == "local" else beta * lam
+    assume(load > 0.0)
+    boundary = load if ulps == 0 else math.nextafter(load, math.inf * ulps)
+    rates = {"local": 2.0 * lam, "transmission": 2.0 * lam, "edge": 2.0 * lam}
+    rates[queue] = boundary
+    args = (
+        UserProfile(arrival_rate=lam, local_cpu_hz=rates["local"]),
+        UNIT_TASK,
+        EdgeProfile(cpu_hz=rates["edge"]),
+        beta,
+        rates["transmission"],
+    )
+    qos = QosTarget(delay_s=0.1, min_reliability=0.9)
+    try:
+        system_reliability(*args, qos.delay_s)
+        closed = None
+    except StabilityError as exc:
+        closed = str(exc)
+    try:
+        simulate_user(*args, qos, TINY_RUN, user_id=3)
+        simulated = None
+    except StabilityError as exc:
+        simulated = str(exc)
+    assert (closed is None) == (ulps > 0)
+    if closed is None:
+        assert simulated is None
+    else:
+        assert closed.startswith(f"{queue} queue unstable")
+        assert simulated == f"user 3: {closed}"
+
+
+@FIXED
+@given(
+    lam=log_uniform(1e-1, 1e3),
+    local_ratio=log_uniform(1e-12, 10.0),
+    edge_ratio=log_uniform(1.01, 1e3),
+    eps=log_uniform(1e-3, 1.0),
+    miss=log_uniform(1e-8, 0.5),
+)
+# mu_l / lambda = 1e-12: the relative offset above the floor is below half
+# an ulp of it and rounds away
+@example(lam=10.0, local_ratio=1e-12, edge_ratio=50.0, eps=1.0, miss=0.1)
+def test_share_search_stays_above_the_stability_floor(lam, local_ratio, edge_ratio, eps, miss):
+    """Every share the search returns keeps the local queue stable.  The
+    floor stays below 1 here: at mu_l = 0 it is 1, and beta = 1 its only
+    share."""
+    task = tp.reference_task()
+    user = UserProfile(arrival_rate=lam, local_cpu_hz=lam * local_ratio * task.mean_job_cycles)
+    scenario = dataclasses.replace(
+        tp.single_user_scenario(),
+        task=task,
+        users=(user,),
+        edge=EdgeProfile(cpu_hz=lam * edge_ratio * task.mean_job_cycles),
+        qos=QosTarget(delay_s=eps, min_reliability=1.0 - miss),
+    )
+    try:
+        beta, rate = minimize_rate_threshold(scenario, 0)
+    except InfeasibleError:
+        return
+    if rate > 0.0:
+        assert beta > min_stable_share(user, task)
+    else:  # the local queue alone meets the target
+        assert beta == 0.0 and lam < user.local_service_rate(task)

@@ -156,7 +156,7 @@ class TestTraceStreams:
         user = UserProfile(arrival_rate=20.0, local_cpu_hz=1.0e9)
         edge = EdgeProfile(cpu_hz=1.0e9)
         cfg = SimConfig(n_jobs=40_000, warmup=400, seed=3)
-        source = _Source(0, 0, user, TASK, edge, 0.5, 2.0e9, cfg)
+        source = _Source(0, 0, user, TASK, edge, 0.5, 2.0e9, 0.1, cfg)
         drain(source)
         gaps = np.diff(np.sort(source.pending[2]))
         # 1% critical value; n ~ 20000 thinned jobs
@@ -167,7 +167,7 @@ class TestTraceStreams:
         user = UserProfile(arrival_rate=20.0, local_cpu_hz=1.0e9)
         edge = EdgeProfile(cpu_hz=1.0e9)
         cfg = SimConfig(n_jobs=10_000, warmup=100, seed=3)
-        source = _Source(0, 0, user, TASK, edge, 0.3, 2.0e9, cfg)
+        source = _Source(0, 0, user, TASK, edge, 0.3, 2.0e9, 0.1, cfg)
         local = drain(source)
         offloaded = source.pending
         assert local.size + np.count_nonzero(offloaded[3] >= 0) == 10_000 - 100
@@ -178,11 +178,11 @@ class TestTraceStreams:
         edge = EdgeProfile(cpu_hz=1.0e9)
         weak_local = UserProfile(arrival_rate=60.0, local_cpu_hz=5.0e8)  # mu_l = 50
         with pytest.raises(StabilityError):
-            _Source(0, 0, weak_local, TASK, edge, 0.05, 1.0e9, cfg)
+            _Source(0, 0, weak_local, TASK, edge, 0.05, 1.0e9, 0.1, cfg)
         user = UserProfile(arrival_rate=20.0, local_cpu_hz=1.0e9)
         with pytest.raises(StabilityError):
             # tx rate 10 jobs/s below the offered 0.9 * 20
-            _Source(0, 0, user, TASK, edge, 0.9, 8.0e7, cfg)
+            _Source(0, 0, user, TASK, edge, 0.9, 8.0e7, 0.1, cfg)
 
     def test_edge_overload_refused_before_any_draw(self, monkeypatch):
         def no_draws(*args):
@@ -193,7 +193,7 @@ class TestTraceStreams:
         user = UserProfile(arrival_rate=20.0, local_cpu_hz=1.0e9)
         tiny_edge = EdgeProfile(cpu_hz=1.5e8)  # mu_m = 15 < 0.9 * 20
         with pytest.raises(StabilityError, match="edge queue"):
-            _Source(0, 0, user, TASK, tiny_edge, 0.9, 2.0e9, cfg)
+            _Source(0, 0, user, TASK, tiny_edge, 0.9, 2.0e9, 0.1, cfg)
 
 
 class TestMerge:
@@ -325,7 +325,8 @@ class TestSimulateSystem:
             assert not r.within_ci
         assert len(rep.warnings) == len(unstable)
         for r, note in zip(unstable, rep.warnings):
-            assert note == f"user {r.user_id}: edge queue unstable at beta=1"
+            v = 10.0 - lam[r.user_id]
+            assert note == f"user {r.user_id}: edge queue unstable: net rate v = {v:.6g} <= 0"
         for r in stable:
             assert r.n_effective == 9_900 and 0.0 <= r.empirical <= 1.0
 
