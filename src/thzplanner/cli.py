@@ -331,10 +331,10 @@ def _verify_assignment(scenario: Scenario, result: Plan, lines: List[str]) -> in
     gap = abs(planned_total - brute.best_total_m) / max(brute.best_total_m, 1e-300)
     if gap <= 1e-9:
         lines.append(
-            f"ok   sorted assignment matches brute-force optimum ({len(rates)} users)"
+            f"ok   planned assignment matches the exact optimum ({len(rates)} users)"
         )
         return 0
-    lines.append(f"FAIL sorted assignment differs from brute force by {gap:.3e} rel")
+    lines.append(f"FAIL planned assignment differs from the exact optimum by {gap:.3e} rel")
     return 1
 
 

@@ -59,44 +59,47 @@ def lambert_w(x: float, branch: int = 0) -> float:
         raise ValueError("branch must be 0 or -1")
     if x != x:
         raise ValueError("lambert_w argument is NaN")
-
-    if branch == 0:
-        if x < -_INV_E:
-            # tolerate rounding right at the branch point
-            if x < -_INV_E - 1e-15 * _INV_E:
-                raise ValueError(f"lambert_w branch 0 needs x >= -1/e, got {x!r}")
-            x = -_INV_E
-        if x == 0.0:
-            return 0.0
-        if x <= _E:
-            # branch-point expansion seed, exact at x = -1/e
-            p = math.sqrt(max(0.0, 2.0 * (_E * x + 1.0)))
-            w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
-        else:
-            # asymptotic seed for large arguments
-            l1 = math.log(x)
-            l2 = math.log(l1)
-            w = l1 - l2 + l2 / l1
-        return _halley_w(x, w)
-
-    # branch -1
-    if x >= 0.0:
+    # the branches mirror each other through sign: the seeds take the
+    # positive or negative root, and the asymptotic seed takes over from the
+    # branch-point one above e (x -> inf) or above -0.275 (x -> 0-)
+    sign, asymptotic_above = (1.0, _E) if branch == 0 else (-1.0, -0.275)
+    if branch == -1 and x >= 0.0:
         raise ValueError(f"lambert_w branch -1 needs x < 0, got {x!r}")
     if x < -_INV_E:
+        # tolerate rounding right at the branch point
         if x < -_INV_E - 1e-15 * _INV_E:
-            raise ValueError(f"lambert_w branch -1 needs x >= -1/e, got {x!r}")
+            raise ValueError(f"lambert_w branch {branch} needs x >= -1/e, got {x!r}")
         x = -_INV_E
-    if x > -0.275:
-        # asymptotic seed valid as x -> 0-
-        l1 = math.log(-x)
-        l2 = math.log(-l1)
+    if x == 0.0:
+        return 0.0
+    if x > asymptotic_above:
+        l1 = math.log(sign * x)
+        l2 = math.log(sign * l1)
         w = l1 - l2 + l2 / l1
     else:
-        # branch-point expansion with the negative square root
-        p = -math.sqrt(max(0.0, 2.0 * (_E * x + 1.0)))
+        # branch-point expansion seed, exact at x = -1/e
+        p = sign * math.sqrt(max(0.0, 2.0 * (_E * x + 1.0)))
         w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
     w = _halley_w(x, w)
-    return min(w, -1.0)
+    return w if branch == 0 else min(w, -1.0)
+
+
+def _newton_log(q: float) -> float:
+    """Newton's root of w + log|w| = q from the seed q - log|q|.
+
+    The root is W0(exp(q)) for q > 1 and W_{-1}(-exp(q)) for q < -1, found
+    without ever forming exp(q).
+    """
+    w = q - math.log(abs(q))
+    for _ in range(_MAX_HALLEY_ITER):
+        dfdw = 1.0 + 1.0 / w
+        if dfdw == 0.0:
+            break
+        step = (w + math.log(abs(w)) - q) / dfdw
+        w -= step
+        if abs(step) <= 1e-15 * abs(w):
+            break
+    return w
 
 
 def lambert_w_log_lower(q: float) -> float:
@@ -110,18 +113,7 @@ def lambert_w_log_lower(q: float) -> float:
         raise ValueError("lambert_w_log_lower needs q <= -1")
     if q == -1.0:
         return -1.0
-    # w ~ q - log(-q) for q -> -inf
-    w = q - math.log(-q)
-    for _ in range(_MAX_HALLEY_ITER):
-        err = w + math.log(-w) - q
-        dfdw = 1.0 + 1.0 / w
-        if dfdw == 0.0:
-            break
-        step = err / dfdw
-        w -= step
-        if abs(step) <= 1e-15 * abs(w):
-            break
-    return min(w, -1.0)
+    return min(_newton_log(q), -1.0)
 
 
 def lambert_w_log(q: float) -> float:
@@ -135,13 +127,7 @@ def lambert_w_log(q: float) -> float:
     """
     if not q > 1.0:
         raise ValueError("lambert_w_log needs q > 1")
-    w = q - math.log(q)
-    for _ in range(_MAX_HALLEY_ITER):
-        step = (w + math.log(w) - q) / (1.0 + 1.0 / w)
-        w -= step
-        if abs(step) <= 1e-15 * w:
-            break
-    return w
+    return _newton_log(q)
 
 
 def minimize_scalar(

@@ -149,6 +149,25 @@ def assign_frequencies(
     return tuple(out)
 
 
+def _distances(
+    rates: Sequence[float], grid: FrequencyGrid, radio: RadioParams, fit: GaussianFit
+) -> List[List[float]]:
+    """Coverage distance of each rate (rows) on each carrier (columns).
+
+    Raises ValueError for a distance beyond the float range (a link budget
+    that overflows on a fit without absorption), which no assignment can rank.
+    """
+    dist = [[achievable_distance(fit, radio, f, r) for f in grid.freqs_ghz] for r in rates]
+    for r, row in zip(rates, dist):
+        for f, d in zip(grid.freqs_ghz, row):
+            if not math.isfinite(d):
+                raise ValueError(
+                    f"coverage distance on carrier {f:g} GHz at rate {r:.6g} bit/s"
+                    " is beyond the float range"
+                )
+    return dist
+
+
 @dataclass(frozen=True)
 class BruteForceResult:
     """Best assignment over all injective carrier choices, with extremes."""
@@ -171,10 +190,7 @@ def brute_force_assignment(
     solves, on negated and on plain distances.  No permutation is
     enumerated; the name is kept because the benchmark tracer binds it.
     """
-    dist = [
-        [achievable_distance(fit, radio, f, r) for f in grid.freqs_ghz]
-        for r in thresholds
-    ]
+    dist = _distances(thresholds, grid, radio, fit)
     best = min_cost_assignment([[-d for d in row] for row in dist])
     worst = min_cost_assignment(dist)
     assignment = tuple(grid.freqs_ghz[j] for j in best)
@@ -231,10 +247,7 @@ def plan(scenario: Scenario, force_offload_all: bool = False) -> Plan:
     cols: Tuple[int, ...] = ()
     if constrained:
         rates = [outcomes[k][2] for k in constrained]
-        matrix = [
-            [achievable_distance(scenario.fit, scenario.radio, f, r) for f in grid]
-            for r in rates
-        ]
+        matrix = _distances(rates, scenario.grid, scenario.radio, scenario.fit)
         best = min_cost_assignment([[-d for d in row] for row in matrix])
         # equal rates are interchangeable: ascending carriers in user order
         cols = tuple(j for _, j in sorted(zip(rates, best)))

@@ -159,16 +159,13 @@ def local_reliability(
     return -math.expm1(-net * epsilon_s)
 
 
-def edge_reliability(rates: QueueRates, epsilon_s: float) -> float:
-    """P(transmission + edge sojourn <= epsilon) for the offloaded tandem.
+def _edge_tail(rates: QueueRates, epsilon_s: float) -> Tuple[float, float]:
+    """The two nonnegative terms of P(tandem sojourn > epsilon), (e_v, rest):
 
-    The two stage sojourns are independent exponentials with rates u and v
-    (departures of the first M/M/1 queue are Poisson), so the tail is a
-    hypoexponential:
+        e_v = e^(-v eps),  rest = v e^(-v eps) * expm1((v - u) eps) / (v - u)
 
-        Phi = 1 - e^(-v eps) - v e^(-v eps) * expm1((v - u) eps) / (v - u)
-
-    with the u = v limit 1 - e^(-v eps) - v eps e^(-v eps).
+    with the u = v limit rest = v eps e^(-v eps).  Raises StabilityError when
+    either net rate is not positive.
     """
     u, v = rates.u, rates.v
     if u <= 0.0:
@@ -180,13 +177,28 @@ def edge_reliability(rates: QueueRates, epsilon_s: float) -> float:
     e_v = math.exp(-v * epsilon_s)
     gap = v - u
     if abs(gap) <= _DEGENERATE_RTOL * max(u, v):
-        return -math.expm1(-v * epsilon_s) - v * epsilon_s * e_v
+        return e_v, v * epsilon_s * e_v
     if gap * epsilon_s > 700.0:
         # expm1 would overflow; algebraically ratio*e_v = (e^(-u eps)-e^(-v eps))/gap
         ratio_ev = (math.exp(-u * epsilon_s) - e_v) / gap
     else:
         ratio_ev = e_v * math.expm1(gap * epsilon_s) / gap
-    return -math.expm1(-v * epsilon_s) - v * ratio_ev
+    return e_v, v * ratio_ev
+
+
+def edge_reliability(rates: QueueRates, epsilon_s: float) -> float:
+    """P(transmission + edge sojourn <= epsilon) for the offloaded tandem.
+
+    The two stage sojourns are independent exponentials with rates u and v
+    (departures of the first M/M/1 queue are Poisson), so the tail is a
+    hypoexponential:
+
+        Phi = 1 - e^(-v eps) - v e^(-v eps) * expm1((v - u) eps) / (v - u)
+
+    with the u = v limit 1 - e^(-v eps) - v eps e^(-v eps).
+    """
+    rest = _edge_tail(rates, epsilon_s)[1]
+    return -math.expm1(-rates.v * epsilon_s) - rest
 
 
 def system_reliability(
@@ -303,20 +315,28 @@ def rate_threshold_oracle(
     qos: QosTarget,
     beta: float,
 ) -> float:
-    """Rate threshold by bisection on system_reliability; no Lambert W.
+    """Rate threshold by bisection on the outage; no Lambert W.
 
-    Independent of the closed form except for the Phi evaluation itself.
-    Expands the bracket upward from the stability floor and raises
+    The outage 1 - Phi = (1-beta) e^(-net eps) + beta * (edge tail) is a
+    sum of nonnegative terms and is compared with 1 - theta (exact for
+    theta >= 1/2), so neither side is formed as 1 - x and targets far below
+    1e-9 resolve.  Shares only the setup and the tail terms with the closed
+    form.  Expands the bracket upward from the stability floor and raises
     InfeasibleError once the required rate exceeds 1e15 bit/s.
     """
     mu_m, _, floor_rate, edge_target = _edge_target(user, task, edge, qos, beta)
     if edge_target <= 0.0:
         return floor_rate
     eps = qos.delay_s
-    theta = qos.min_reliability
+    miss = 1.0 - qos.min_reliability
+    local_miss = 0.0
+    if beta < 1.0:  # the local queue is stable: _edge_target checked it
+        net = user.local_service_rate(task) - (1.0 - beta) * user.arrival_rate
+        local_miss = (1.0 - beta) * math.exp(-net * eps)
 
     def gap(rate: float) -> float:
-        return system_reliability(user, task, edge, beta, rate, eps) - theta
+        e_v, rest = _edge_tail(queue_rates(user, task, edge, beta, rate), eps)
+        return miss - (local_miss + beta * (e_v + rest))
 
     lo = max(floor_rate, 1e-12)
     if gap(lo) >= 0.0:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Sequence, Tuple
 
 import yaml
 from yaml import CSafeLoader
@@ -22,15 +22,18 @@ from .channel import FrequencyGrid, GaussianFit, RadioParams
 from .optimizer import Scenario
 from .reliability import EdgeProfile, QosTarget, TaskProfile, UserProfile
 
-_TASK_KEYS = ("L_a_bits", "mu_a_cycles")
-_RADIO_KEYS = ("B_hz", "p_w", "gt_dbi", "gr_dbi", "noise_dbm")
-_EDGE_KEYS = ("f_m_cycles_per_s",)
-_QOS_KEYS = ("epsilon_s", "theta_th")
+# (section, also the Scenario field; dataclass; YAML keys in its field order)
+_SECTIONS = (
+    ("task", TaskProfile, ("L_a_bits", "mu_a_cycles")),
+    ("radio", RadioParams, ("B_hz", "p_w", "gt_dbi", "gr_dbi", "noise_dbm")),
+    ("edge", EdgeProfile, ("f_m_cycles_per_s",)),
+    ("qos", QosTarget, ("epsilon_s", "theta_th")),
+)
 _GRID_KEYS = ("freqs_ghz",)
 _USER_KEYS = ("lambda_jobs_per_s", "f_l_cycles_per_s")
 _FIT_KEYS = ("a_db_per_km", "b_ghz", "c_ghz")
 _CAPS_KEYS = ("max_distance_m",)
-_TOP_KEYS = ("task", "radio", "edge", "qos", "grid", "users", "fit", "caps")
+_TOP_KEYS = tuple(name for name, _, _ in _SECTIONS) + ("grid", "users", "fit", "caps")
 _SHA256_DIGITS = 16  # hex digits of the scenario hash kept in CSV provenance
 
 
@@ -76,123 +79,72 @@ def _number(node: Mapping, key: str, path: str) -> float:
     return _scalar_number(node[key], f"{path}.{key}")
 
 
-def _section(data: Mapping, key: str) -> Mapping:
+def _record(node: Any, keys: Sequence[str], path: str) -> Tuple[float, ...]:
+    """The numbers of one mapping, in the order of keys; no other key allowed."""
+    _reject_unknown(_require_mapping(node, path), keys, path)
+    return tuple(_number(node, key, path) for key in keys)
+
+
+def _list(node: Any, path: str, what: str) -> Sequence:
+    if not isinstance(node, Sequence) or isinstance(node, (str, bytes)):
+        raise ScenarioFormatError(f"{path}: expected a list of {what}")
+    return node
+
+
+def _section(data: Mapping, key: str) -> Any:
     if key not in data:
         raise ScenarioFormatError(f"{key}: missing required section")
-    return _require_mapping(data[key], key)
+    return data[key]
 
 
 def scenario_from_dict(data: Mapping) -> Scenario:
     """Build and validate a Scenario from already-parsed YAML data."""
-    _require_mapping(data, "scenario")
-    _reject_unknown(data, _TOP_KEYS, "scenario")
+    _reject_unknown(_require_mapping(data, "scenario"), _TOP_KEYS, "scenario")
+    parts: Dict[str, Any] = {
+        name: cls(*_record(_section(data, name), keys, name))
+        for name, cls, keys in _SECTIONS
+    }
 
-    sec = _section(data, "task")
-    _reject_unknown(sec, _TASK_KEYS, "task")
-    task = TaskProfile(
-        mean_job_bits=_number(sec, "L_a_bits", "task"),
-        mean_job_cycles=_number(sec, "mu_a_cycles", "task"),
-    )
-
-    sec = _section(data, "radio")
-    _reject_unknown(sec, _RADIO_KEYS, "radio")
-    radio = RadioParams(
-        bandwidth_hz=_number(sec, "B_hz", "radio"),
-        power_w=_number(sec, "p_w", "radio"),
-        tx_gain_dbi=_number(sec, "gt_dbi", "radio"),
-        rx_gain_dbi=_number(sec, "gr_dbi", "radio"),
-        noise_dbm=_number(sec, "noise_dbm", "radio"),
-    )
-
-    sec = _section(data, "edge")
-    _reject_unknown(sec, _EDGE_KEYS, "edge")
-    edge = EdgeProfile(cpu_hz=_number(sec, "f_m_cycles_per_s", "edge"))
-
-    sec = _section(data, "qos")
-    _reject_unknown(sec, _QOS_KEYS, "qos")
-    qos = QosTarget(
-        delay_s=_number(sec, "epsilon_s", "qos"),
-        min_reliability=_number(sec, "theta_th", "qos"),
-    )
-
-    sec = _section(data, "grid")
+    sec = _require_mapping(_section(data, "grid"), "grid")
     _reject_unknown(sec, _GRID_KEYS, "grid")
     if "freqs_ghz" not in sec:
         raise ScenarioFormatError("grid.freqs_ghz: missing required key")
-    raw_freqs = sec["freqs_ghz"]
-    if not isinstance(raw_freqs, Sequence) or isinstance(raw_freqs, (str, bytes)):
-        raise ScenarioFormatError("grid.freqs_ghz: expected a list of numbers")
-    freqs: List[float] = []
-    for i, f in enumerate(raw_freqs):
-        freqs.append(_scalar_number(f, f"grid.freqs_ghz[{i}]"))
+    freqs = [
+        _scalar_number(f, f"grid.freqs_ghz[{i}]")
+        for i, f in enumerate(_list(sec["freqs_ghz"], "grid.freqs_ghz", "numbers"))
+    ]
     try:
-        grid = FrequencyGrid(freqs_ghz=tuple(sorted(freqs)))
+        parts["grid"] = FrequencyGrid(freqs_ghz=tuple(sorted(freqs)))
     except ValueError as exc:
         raise ScenarioFormatError(f"grid.freqs_ghz: {exc}") from exc
 
-    if "users" not in data:
-        raise ScenarioFormatError("users: missing required section")
-    raw_users = data["users"]
-    if not isinstance(raw_users, Sequence) or isinstance(raw_users, (str, bytes)):
-        raise ScenarioFormatError("users: expected a list of mappings")
-    users = []
-    for i, raw in enumerate(raw_users):
-        path = f"users[{i}]"
-        node = _require_mapping(raw, path)
-        _reject_unknown(node, _USER_KEYS, path)
-        users.append(
-            UserProfile(
-                arrival_rate=_number(node, "lambda_jobs_per_s", path),
-                local_cpu_hz=_number(node, "f_l_cycles_per_s", path),
-            )
-        )
-    if not users:
+    parts["users"] = tuple(
+        UserProfile(*_record(raw, _USER_KEYS, f"users[{i}]"))
+        for i, raw in enumerate(_list(_section(data, "users"), "users", "mappings"))
+    )
+    if not parts["users"]:
         raise ScenarioFormatError("users: need at least one user")
 
-    fit: Optional[GaussianFit] = None
     if "fit" in data:
-        raw_fit = data["fit"]
-        if not isinstance(raw_fit, Sequence) or isinstance(raw_fit, (str, bytes)):
-            raise ScenarioFormatError("fit: expected a list of 7 term mappings")
-        terms = []
-        for i, raw in enumerate(raw_fit):
-            path = f"fit[{i}]"
-            node = _require_mapping(raw, path)
-            _reject_unknown(node, _FIT_KEYS, path)
-            terms.append(
-                (
-                    _number(node, "a_db_per_km", path),
-                    _number(node, "b_ghz", path),
-                    _number(node, "c_ghz", path),
-                )
-            )
+        terms = tuple(
+            _record(raw, _FIT_KEYS, f"fit[{i}]")
+            for i, raw in enumerate(_list(data["fit"], "fit", "7 term mappings"))
+        )
         if len(terms) != 7:
             raise ScenarioFormatError(
                 f"fit: attenuation fit needs exactly 7 Gaussian terms, got {len(terms)}"
             )
-        fit = GaussianFit(terms=tuple(terms))
+        parts["fit"] = GaussianFit(terms=terms)
 
-    max_distance_m = float("inf")
     if "caps" in data:
         sec = _require_mapping(data["caps"], "caps")
         _reject_unknown(sec, _CAPS_KEYS, "caps")
         # .inf is the same as no cap, the default
-        if sec.get("max_distance_m") != max_distance_m:
-            max_distance_m = _number(sec, "max_distance_m", "caps")
+        if sec.get("max_distance_m") != math.inf:
+            parts["max_distance_m"] = _number(sec, "max_distance_m", "caps")
 
-    kwargs: Dict[str, Any] = dict(
-        task=task,
-        radio=radio,
-        edge=edge,
-        qos=qos,
-        grid=grid,
-        users=tuple(users),
-        max_distance_m=max_distance_m,
-    )
-    if fit is not None:
-        kwargs["fit"] = fit
     try:
-        return Scenario(**kwargs)
+        return Scenario(**parts)
     except ValueError as exc:
         raise ScenarioFormatError(str(exc)) from exc
 

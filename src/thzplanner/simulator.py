@@ -63,6 +63,8 @@ _N_STAGES = 5
 # jobs drawn per stream at a time; memory is set by this, not by n_jobs
 _CHUNK = 1 << 15
 
+_NO_ARRIVALS = "user {}: no arrivals (lambda = 0); not simulated"
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -93,6 +95,7 @@ class SimUserReport:
     empirical: float
     ci_radius: float  # 3 * sqrt(p(1-p)/n), binomial
     n_effective: int
+    no_arrivals: bool = False  # lambda = 0: not simulated, empirics NaN
 
     @property
     def delta(self) -> float:
@@ -113,7 +116,8 @@ class SimReport:
 
     @property
     def all_within_ci(self) -> bool:
-        return all(row.within_ci for row in self.users)
+        """Every user that had jobs to simulate stayed within its band."""
+        return all(row.within_ci for row in self.users if not row.no_arrivals)
 
 
 def _stream(seed: int, user_id: int, stage: int) -> np.random.Generator:
@@ -189,12 +193,10 @@ class _Source:
     ) -> None:
         """Takes the analytic reliability before opening any stream, so an
         unstable queue (the edge against this user's load alone) raises
-        StabilityError first."""
+        StabilityError first.  A user without arrivals draws no job."""
         import numpy as np
 
         lam = user.arrival_rate
-        if lam <= 0.0:
-            raise ValueError("simulation needs a positive arrival rate")
         try:
             self.analytic = system_reliability(user, task, edge, beta, rate_bps, delay_s)
         except StabilityError as exc:
@@ -205,7 +207,7 @@ class _Source:
         self.lam, self.mu_l = lam, user.local_service_rate(task)
         self.tx_rate, self.mu_m = rate_bps / task.mean_job_bits, edge.service_rate(task)
         self.streams = [_stream(cfg.seed, user_id, stage) for stage in range(_N_STAGES)]
-        self.left = cfg.n_jobs  # jobs still to draw
+        self.left = cfg.n_jobs if lam > 0.0 else 0  # jobs still to draw
         self.skip = cfg.warmup  # warmup jobs still to draw
         self.last = 0.0  # arrival time of the last job drawn
         self.local, self.tx = _Queue(), _Queue()
@@ -316,6 +318,12 @@ def _simulate_group(
     n_eff = cfg.n_jobs - cfg.warmup
     rows = []
     for src, ok in zip(group, n_ok.tolist()):
+        if not src.lam > 0.0:
+            rows.append(SimUserReport(
+                src.user_id, src.beta, src.rate_bps, src.analytic, empirical=math.nan,
+                ci_radius=math.nan, n_effective=0, no_arrivals=True,
+            ))
+            continue
         p_hat = ok / n_eff
         ci = 3.0 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_eff)
         rows.append(SimUserReport(
@@ -340,7 +348,11 @@ def simulate_user(
     cfg: SimConfig,
     user_id: int = 0,
 ) -> SimUserReport:
-    """Single user against a private edge queue (the analytic model)."""
+    """Single user against a private edge queue (the analytic model).
+
+    A user without arrivals is not simulated: its row has no_arrivals set
+    and NaN empirical columns.
+    """
     source = _Source(0, user_id, user, task, edge, beta, rate_bps, qos.delay_s, cfg)
     return _simulate_group([source], qos, cfg)[0]
 
@@ -356,9 +368,12 @@ def simulate_system(
     overrides, when given, replaces each user's (beta, rate) pair, e.g. to
     replay a plan's rates with offloading forced to 1.  In isolated mode a
     user with an overloaded queue is reported with analytic 0 and NaN
-    empirical columns, and the reason is added to SimReport.warnings.
-    Raises InfeasibleError when any user is flagged infeasible, and
-    StabilityError in shared-edge mode when any queue would be overloaded.
+    empirical columns, and the reason is added to SimReport.warnings.  In
+    both modes a user without arrivals is not simulated: its row keeps the
+    closed-form analytic value beside NaN empirics, a warning says so, and
+    it does not count towards all_within_ci.  Raises InfeasibleError when
+    any user is flagged infeasible, and StabilityError in shared-edge mode
+    when any queue would be overloaded.
     """
     if any(row.status == INFEASIBLE for row in p.users):
         raise InfeasibleError("plan is infeasible; nothing to simulate")
@@ -373,17 +388,20 @@ def simulate_system(
         warnings: List[str] = []
         for row, (b, r) in zip(p.users, pairs):
             try:
-                rows.append(simulate_user(
+                rep = simulate_user(
                     scenario.users[row.user_id], task, edge, b, r, qos, cfg,
                     user_id=row.user_id,
-                ))
+                )
             except StabilityError as exc:
                 # unstable queue: long-run within-budget fraction is zero
                 warnings.append(str(exc))
-                rows.append(SimUserReport(
+                rep = SimUserReport(
                     row.user_id, b, r, analytic=0.0, empirical=math.nan,
                     ci_radius=math.nan, n_effective=0,
-                ))
+                )
+            if rep.no_arrivals:
+                warnings.append(_NO_ARRIVALS.format(rep.user_id))
+            rows.append(rep)
         return SimReport(mode=cfg.mode, seed=cfg.seed, n_jobs=cfg.n_jobs,
                          users=tuple(rows), warnings=tuple(warnings))
 
@@ -400,4 +418,6 @@ def simulate_system(
         for k, (row, (b, r)) in enumerate(zip(p.users, pairs))
     ]
     rows = tuple(_simulate_group(group, qos, cfg))
-    return SimReport(mode=cfg.mode, seed=cfg.seed, n_jobs=cfg.n_jobs, users=rows)
+    warnings = [_NO_ARRIVALS.format(rep.user_id) for rep in rows if rep.no_arrivals]
+    return SimReport(mode=cfg.mode, seed=cfg.seed, n_jobs=cfg.n_jobs, users=rows,
+                     warnings=tuple(warnings))

@@ -206,6 +206,54 @@ class TestLoadScenario:
             with pytest.raises(ScenarioFormatError, match="caps.max_distance_m"):
                 load_scenario(str(path))
 
+    # every numeric key of the fixed sections, the first user and the first
+    # fit term, with the dotted path the loader must name
+    SCHEMA_PATHS = [
+        (("task",), "L_a_bits"),
+        (("task",), "mu_a_cycles"),
+        (("radio",), "B_hz"),
+        (("radio",), "p_w"),
+        (("radio",), "gt_dbi"),
+        (("radio",), "gr_dbi"),
+        (("radio",), "noise_dbm"),
+        (("edge",), "f_m_cycles_per_s"),
+        (("qos",), "epsilon_s"),
+        (("qos",), "theta_th"),
+        (("users", 0), "lambda_jobs_per_s"),
+        (("users", 0), "f_l_cycles_per_s"),
+        (("fit", 0), "a_db_per_km"),
+        (("fit", 0), "b_ghz"),
+        (("fit", 0), "c_ghz"),
+    ]
+
+    @pytest.mark.parametrize("parents, key", SCHEMA_PATHS,
+                             ids=[".".join(map(str, p)) + "." + k for p, k in SCHEMA_PATHS])
+    @pytest.mark.parametrize("fault", [
+        "missing", "unknown_sibling", "string", "bool", "nan", "inf", "-inf",
+    ])
+    def test_every_key_is_checked_by_path(self, parents, key, fault):
+        import yaml
+
+        term = "  - {a_db_per_km: 1.0e+0, b_ghz: 5.0e+2, c_ghz: 1.0e+1}\n"
+        data = yaml.safe_load(MINIMAL_YAML + "fit:\n" + term * 7)
+        node = data
+        for step in parents:
+            node = node[step]
+        path = parents[0] + "".join(f"[{i}]" for i in parents[1:]) + "." + key
+        if fault == "missing":
+            del node[key]
+            expect = path + ": missing required key"
+        elif fault == "unknown_sibling":
+            node[key + "_x"] = 1.0
+            expect = path + "_x: unknown key"
+        else:
+            node[key] = {"string": "1e3", "bool": True, "nan": math.nan,
+                         "inf": math.inf, "-inf": -math.inf}[fault]
+            expect = path + ": expected a " + ("number" if fault in ("string", "bool")
+                                               else "finite number")
+        with pytest.raises(ScenarioFormatError, match="^" + re.escape(expect)):
+            scenario_from_dict(data)
+
 
 class TestPlanCommand:
     def test_reference(self, tmp_path, capsys):
@@ -285,6 +333,23 @@ class TestPlanCommand:
                 free_space, rel=1e-11
             )
         assert all(u.distance_m > 30.0 for u in p.users)
+
+    def test_distance_beyond_float_range_names_the_carrier(self, tmp_path, capsys):
+        """Without absorption a huge link budget puts the free-space range
+        past the float range; plan and verify say so and exit 1."""
+        path = tmp_path / "huge_free_space.yaml"
+        path.write_text(
+            Path(zero_fit_yaml(tmp_path)).read_text()
+            .replace("noise_dbm: -40.0", "noise_dbm: -10000.0")
+        )
+        expect = re.compile(
+            r"^error: coverage distance on carrier 100 GHz at rate \S+ bit/s"
+            r" is beyond the float range$", re.M
+        )
+        assert cli.main(["plan", str(path), "-o", str(tmp_path / "plan.csv")]) == 1
+        assert expect.search(capsys.readouterr().err)
+        assert cli.main(["verify", str(path)]) == 1
+        assert expect.search(capsys.readouterr().err)
 
     def test_huge_link_budget_plans_finite_distances(self, tmp_path, capsys):
         path = tmp_path / "huge.yaml"
@@ -440,7 +505,7 @@ class TestVerifyCommand:
         rc = cli.main(["verify", REFERENCE])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "ok   sorted assignment matches brute-force optimum (10 users)" in out
+        assert "ok   planned assignment matches the exact optimum (10 users)" in out
         assert "mixed differences positive" in out
 
     def test_log_domain_user_passes(self, tmp_path, capsys):
@@ -479,7 +544,7 @@ class TestVerifyCommand:
         path = water_line_yaml(tmp_path)
         assert cli.main(["verify", path]) == 0
         out = capsys.readouterr().out
-        assert "ok   sorted assignment matches brute-force optimum (10 users)" in out
+        assert "ok   planned assignment matches the exact optimum (10 users)" in out
         assert re.search(
             r"^note mixed difference -\S+ m on carriers 186-190 GHz: .*"
             r"the plan uses the exact assignment$",
@@ -510,7 +575,7 @@ class TestVerifyCommand:
         assert cli.main(["verify", REFERENCE]) == 4
         out = capsys.readouterr().out
         assert re.search(
-            r"^FAIL sorted assignment differs from brute force by \S+ rel$", out, re.M
+            r"^FAIL planned assignment differs from the exact optimum by \S+ rel$", out, re.M
         )
         assert "verification FAILED: 1 check(s)" in out
 

@@ -8,6 +8,7 @@ so that every decade of each range is visited.
 import dataclasses
 import math
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -37,6 +38,8 @@ FIXED = settings(derandomize=True, deadline=None, max_examples=300)
 
 # the oracle's bisection gives up beyond this rate
 ORACLE_CAP_BPS = 1e15
+# the oracle against the 60-digit root: its bisection stops at 1e-12 wide
+MPMATH_RTOL = 1e-11
 
 
 def log_uniform(lo, hi):
@@ -51,9 +54,9 @@ def log_uniform(lo, hi):
     f_l=log_uniform(1e6, 1e11),
     f_m=log_uniform(1e7, 1e16),
     eps=log_uniform(1e-5, 10.0),
-    # 1 - theta stops at 1e-9: below it the double theta itself keeps
-    # fewer than 7 digits of 1 - theta, so neither the closed form nor the
-    # bisection can resolve the rate to 1e-6
+    # 1 - theta stops at 1e-9: below it the closed form's sup - edge_target
+    # can cancel (when the ceiling outage e^(-v eps) sits near the target)
+    # and lose the 1e-6 agreement; test_oracle_matches_mpmath goes lower
     miss=log_uniform(1e-9, 0.99),
     beta=st.floats(0.0, 1.0, exclude_min=True),
 )
@@ -76,6 +79,80 @@ def test_rate_threshold_matches_oracle(bits, cycles, lam, f_l, f_m, eps, miss, b
         return
     closed = rate_threshold(*args)
     assert abs(closed - ref) <= 1e-6 * ref
+
+
+def mpmath_rate_threshold(user, task, edge, qos, beta):
+    """Rate whose outage is exactly 1 - theta, by 60-digit bisection.
+
+    The third oracle: the tandem tail in its symmetric form
+    (v e^(-u eps) - u e^(-v eps)) / (v - u), evaluated in mpmath from the
+    exact double inputs, with no shared code.  None when no rate below
+    1e30 bit/s reaches the target.
+    """
+    with mpmath.workdps(60):
+        lam, b, bits = mpmath.mpf(user.arrival_rate), mpmath.mpf(beta), task.mean_job_bits
+        mu_l = mpmath.mpf(user.local_cpu_hz) / task.mean_job_cycles
+        v = mpmath.mpf(edge.cpu_hz) / task.mean_job_cycles - b * lam
+        eps, miss = mpmath.mpf(qos.delay_s), 1 - mpmath.mpf(qos.min_reliability)
+        local = (1 - b) * mpmath.exp(-(mu_l - (1 - b) * lam) * eps) if beta < 1.0 else 0
+
+        def met(rate):
+            u = rate / bits - b * lam
+            if u == v:
+                tail = (1 + v * eps) * mpmath.exp(-v * eps)
+            else:
+                tail = (v * mpmath.exp(-u * eps) - u * mpmath.exp(-v * eps)) / (v - u)
+            return local + b * tail <= miss
+
+        # the stability floor as the oracle rounds it, also where subnormal
+        lo = mpmath.mpf(
+            beta * user.arrival_rate * bits * (1.0 + tp.reliability.STABILITY_MARGIN)
+        )
+        if met(lo):
+            return float(lo)
+        hi = max(2 * lo, 1)
+        while not met(hi):
+            hi *= 2
+            if hi > 1e30:
+                return None
+        for _ in range(160):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if met(mid) else (mid, hi)
+        return float(hi)
+
+
+@FIXED
+@given(
+    bits=log_uniform(1e3, 1e9),
+    cycles=log_uniform(1e5, 1e9),
+    lam=log_uniform(1e-2, 1e4),
+    f_l=log_uniform(1e6, 1e11),
+    f_m=log_uniform(1e7, 1e16),
+    eps=log_uniform(1e-5, 10.0),
+    miss=log_uniform(1e-15, 1e-5),
+    beta=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+)
+# the ceiling outage e^(-v eps) = 1.9e-14 sits near the 1e-12 target, where
+# the closed form loses digits to cancellation
+@example(bits=1e3, cycles=10 ** 7.375, lam=1.0, f_l=1e6, f_m=10 ** 10.5,
+         eps=10 ** -1.625, miss=1e-12, beta=1.0)
+def test_oracle_matches_mpmath(bits, cycles, lam, f_l, f_m, eps, miss, beta):
+    """The bisection oracle holds at 1 - theta down to 1e-15: it bisects on
+    the outage, which it never forms as 1 - Phi."""
+    args = (
+        UserProfile(arrival_rate=lam, local_cpu_hz=f_l),
+        TaskProfile(mean_job_bits=bits, mean_job_cycles=cycles),
+        EdgeProfile(cpu_hz=f_m),
+        QosTarget(delay_s=eps, min_reliability=1.0 - miss),
+        beta,
+    )
+    try:
+        ref = rate_threshold_oracle(*args)
+    except (StabilityError, InfeasibleError):
+        return
+    exact = mpmath_rate_threshold(*args)
+    assert exact is not None
+    assert abs(ref - exact) <= MPMATH_RTOL * exact
 
 
 @FIXED

@@ -330,6 +330,44 @@ class TestSimulateSystem:
         for r in stable:
             assert r.n_effective == 9_900 and 0.0 <= r.empirical <= 1.0
 
+    @pytest.mark.parametrize("mode", [ISOLATED, SHARED_EDGE])
+    def test_user_without_arrivals_is_skipped(self, mode):
+        """A user with lambda = 0 draws no job: its row keeps the closed
+        form beside NaN empirics, a warning names it, and the verdict comes
+        from the simulated users alone, which run as without it."""
+        sc = tp.single_user_scenario()
+        idle = UserProfile(arrival_rate=0.0, local_cpu_hz=5.0e8)
+        two = replace(sc, users=sc.users + (idle,), grid=tp.FrequencyGrid((150.0, 160.0)))
+        p = tp.plan(two)
+        cfg = SimConfig(n_jobs=20_000, warmup=200, seed=3, mode=mode)
+        rep = simulate_system(p, two, cfg)
+        alone = simulate_system(tp.plan(sc), sc, cfg)
+        assert rep.users[0] == alone.users[0] and rep.users[0].within_ci
+        row = rep.users[1]
+        assert row.no_arrivals and row.user_id == 1 and row.n_effective == 0
+        assert row.analytic == system_reliability(
+            idle, sc.task, sc.edge, p.users[1].beta, p.users[1].rate_bps, sc.qos.delay_s
+        )
+        assert all(math.isnan(x) for x in (row.empirical, row.ci_radius, row.delta))
+        assert rep.warnings == ("user 1: no arrivals (lambda = 0); not simulated",)
+        assert rep.all_within_ci
+
+    def test_overloaded_user_beside_an_idle_one_still_fails(self):
+        sc = tp.single_user_scenario()
+        idle = UserProfile(arrival_rate=0.0, local_cpu_hz=5.0e8)
+        two = replace(sc, users=sc.users + (idle,), grid=tp.FrequencyGrid((150.0, 160.0)))
+        p = tp.plan(two)
+        tiny = tp.apply_axis(two, "f_m_cycles_per_s", 5.0e7)  # mu_m = 5 < lambda = 10
+        overrides = [(1.0, p.users[0].rate_bps), (p.users[1].beta, p.users[1].rate_bps)]
+        rep = simulate_system(p, tiny, SimConfig(n_jobs=10_000, warmup=100), overrides)
+        assert rep.users[0].analytic == 0.0 and math.isnan(rep.users[0].empirical)
+        assert rep.users[1].no_arrivals and not rep.users[0].no_arrivals
+        assert rep.warnings == (
+            "user 0: edge queue unstable: net rate v = -5 <= 0",
+            "user 1: no arrivals (lambda = 0); not simulated",
+        )
+        assert not rep.all_within_ci
+
     def test_infeasible_plan_refused(self):
         sc = tp.strict_scenario()
         p = tp.plan(sc)
