@@ -53,6 +53,7 @@ from .reliability import (
     StabilityError,
     TaskProfile,
     UserProfile,
+    ceiling_margin,
     edge_reliability,
     local_reliability,
     min_stable_share,

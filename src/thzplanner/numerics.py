@@ -8,15 +8,17 @@ independent oracles used in the test suite.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Sequence, Tuple
 
 _E = math.e
 _INV_E = math.exp(-1.0)
 _MAX_HALLEY_ITER = 64
-# minimize_scalar: grid points of the coarse scan, final bracket width
-_SCAN_SAMPLES = 1024
+# minimize_scalar: lattice points, final bracket width
+_LATTICE_POINTS = 1024
 _MINIMIZE_TOL = 1e-8
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 
 
 def _halley_w(x: float, w: float) -> float:
@@ -130,18 +132,97 @@ def lambert_w_log(q: float) -> float:
     return _newton_log(q)
 
 
+def _golden(
+    f: Callable[[float], float], a: float, b: float, best_x: float, best_v: float
+) -> Tuple[float, float]:
+    """Golden-section search on [a, b] until it is narrower than _MINIMIZE_TOL.
+
+    Returns the best (x, f(x)) among (best_x, best_v) and the probes made
+    after the first pair; the first pair only steers.
+    """
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc = f(c)
+    fd = f(d)
+    for _ in range(512):
+        if (b - a) <= _MINIMIZE_TOL:
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+            x, v = c, fc
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+            x, v = d, fd
+        if v < best_v:
+            best_v, best_x = v, x
+    return best_x, best_v
+
+
+def _lattice_argmin(key: Callable[[int], Tuple[float, float]], first: int, last: int) -> int:
+    """First index of the least key(i) over first <= i <= last, by Fibonacci search.
+
+    key must fall and then rise; equal keys may sit only at the bottom.
+    Indices past last rank worst, so the open interval can have a
+    Fibonacci length, and every step after the first probes one new index
+    (key should cache).  Ties go to the lower index.
+    """
+    fib = [1, 2]
+    while fib[-1] <= last - first + 1:
+        fib.append(fib[-1] + fib[-2])
+    a = first - 1  # the answer lies in the open interval (a, a + fib[k])
+
+    def at(i: int) -> Tuple[float, float]:
+        return key(i) if i <= last else (math.inf, math.inf)
+
+    for k in range(len(fib) - 1, 1, -1):
+        c, d = a + fib[k - 2], a + fib[k - 1]
+        if at(c) > at(d):
+            a = c  # keep (c, a + fib[k]); else keep (a, d)
+    return a + 1
+
+
+def _boundary(inside: Callable[[int], bool], i_in: int, i_out: int) -> int:
+    """Last index inside a run, walking from i_in towards i_out, by bisection."""
+    while abs(i_out - i_in) > 1:
+        mid = (i_in + i_out) // 2
+        if inside(mid):
+            i_in = mid
+        else:
+            i_out = mid
+    return i_in
+
+
 def minimize_scalar(
     f: Callable[[float], float],
     lo: float,
     hi: float,
+    margin: Callable[[float], float],
 ) -> Tuple[float, float]:
-    """Minimize f on [lo, hi]: coarse grid scan, then golden-section refine.
+    """Minimize f where margin > 0 on [lo, hi]: lattice search, then golden section.
 
-    The grid stage (_SCAN_SAMPLES points) locates the basin (the objectives
-    here can be flat or one-sided near a stability boundary), golden section
-    then shrinks the bracket below _MINIMIZE_TOL.  f may return inf/nan to
-    mark invalid points; those are skipped.  Returns (x, f(x)) for the best point actually evaluated,
-    so the reported value is exact.  Deterministic for identical inputs.
+    f is inf (or nan) where margin(x) <= 0, and may be inf where the
+    margin is positive but small; elsewhere it is finite.  On the lattice
+    of _LATTICE_POINTS evenly spaced points the margin must have a single
+    peak, and f no interior local maximum on the run where the margin is
+    positive.  Then the search returns what scanning every lattice point
+    for the first least f would, in O(log n) probes:
+
+    1. the lattice peak of the margin, by Fibonacci search;
+    2. the ends of the positive run around it, by bisection;
+    3. the first lattice argmin of f on that run, by Fibonacci search;
+    4. golden-section refinement of f on the argmin's two neighbouring
+       cells, below _MINIMIZE_TOL.
+
+    When no lattice point has a positive margin, the margin is maximized
+    on the two cells next to its lattice peak, and if the maximum clears 0
+    the window where it does is bracketed by bisection and f minimized in
+    it by the same golden section.  Returns (x, f(x)) for the best point
+    actually evaluated, so the reported value is exact.  Raises ValueError
+    when f is non-finite everywhere.  Deterministic for identical inputs.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
@@ -150,47 +231,50 @@ def minimize_scalar(
         v = f(x)
         return v if v == v else math.inf
 
-    best_x = lo
-    best_v = math.inf
-    n = _SCAN_SAMPLES
+    def _room(x: float) -> float:
+        g = margin(x)
+        return g if g == g else -math.inf
+
+    n = _LATTICE_POINTS
     step = (hi - lo) / (n - 1)
-    best_i = -1
-    for i in range(n):
-        x = lo + i * step if i < n - 1 else hi
-        v = _eval(x)
-        if v < best_v:
-            best_v = v
-            best_x = x
-            best_i = i
+
+    def point(i: int) -> float:
+        return lo + i * step if i < n - 1 else hi
+
+    # the searches revisit indices; each point is evaluated once
+    room_at = functools.cache(lambda i: _room(point(i)))
+    value_at = functools.cache(lambda i: _eval(point(i)))
+
+    def cells(i: int) -> Tuple[float, float]:
+        """The two lattice cells on either side of point i."""
+        a = lo + (i - 1) * step if i > 0 else lo
+        b = lo + (i + 1) * step if i < n - 1 else hi
+        return max(a, lo), min(b, hi)
+
+    peak = _lattice_argmin(lambda i: (-room_at(i), 0.0), 0, n - 1)
+    if room_at(peak) <= 0.0:
+        # any window where the margin clears 0 lies in the peak's two cells
+        a, b = cells(peak)
+        x_top, low = _golden(lambda x: -_room(x), a, b, point(peak), -room_at(peak))
+        if not low < 0.0:
+            raise ValueError("margin is nowhere positive")
+        left = find_root(_room, a, x_top, _MINIMIZE_TOL)
+        right = find_root(_room, x_top, b, _MINIMIZE_TOL)
+        return _golden(_eval, left, right, x_top, _eval(x_top))
+
+    def inside(i: int) -> bool:
+        return room_at(i) > 0.0
+
+    def rank(i: int) -> Tuple[float, float]:
+        # f is inf only where the margin is small: there, lead to the peak
+        v = value_at(i)
+        return v, (-room_at(i) if v == math.inf else 0.0)
+
+    best_i = _lattice_argmin(rank, _boundary(inside, peak, -1), _boundary(inside, peak, n))
+    best_v = value_at(best_i)
     if not math.isfinite(best_v):
-        raise ValueError("objective is non-finite everywhere on the grid")
-
-    a = lo + (best_i - 1) * step if best_i > 0 else lo
-    b = lo + (best_i + 1) * step if best_i < n - 1 else hi
-    a = max(a, lo)
-    b = min(b, hi)
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = _eval(c)
-    fd = _eval(d)
-    for _ in range(512):
-        if (b - a) <= _MINIMIZE_TOL:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _eval(c)
-            x, v = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _eval(d)
-            x, v = d, fd
-        if v < best_v:
-            best_v, best_x = v, x
-    return best_x, best_v
+        raise ValueError("objective is non-finite everywhere on the feasible run")
+    return _golden(_eval, *cells(best_i), point(best_i), best_v)
 
 
 def find_root(

@@ -31,6 +31,7 @@ from .reliability import (
     StabilityError,
     TaskProfile,
     UserProfile,
+    ceiling_margin,
     local_reliability,
     min_stable_share,
     rate_threshold,
@@ -96,7 +97,10 @@ def minimize_rate_threshold(scenario: Scenario, user_index: int) -> Tuple[float,
     """Offloading share minimizing the user's rate requirement.
 
     Returns (beta, rate).  (0.0, 0.0) means the user needs no link at all:
-    keeping every job local already meets the reliability target.  Raises
+    keeping every job local already meets the reliability target.  The
+    search (numerics.minimize_scalar) runs over the stable shares, where
+    ceiling_margin tells the feasible ones without raising, so the closed
+    form is evaluated only on and next to the feasible run.  Raises
     InfeasibleError when no share in the stable range works.
     """
     user = scenario.users[user_index]
@@ -118,8 +122,11 @@ def minimize_rate_threshold(scenario: Scenario, user_index: int) -> Tuple[float,
         except (InfeasibleError, StabilityError):
             return math.inf
 
+    def margin(beta: float) -> float:
+        return ceiling_margin(user, task, edge, qos, beta)
+
     try:
-        beta_star, rate_star = minimize_scalar(objective, lo, 1.0)
+        beta_star, rate_star = minimize_scalar(objective, lo, 1.0, margin)
     except ValueError as exc:
         # every share in the stable range is infeasible
         raise InfeasibleError(

@@ -40,8 +40,8 @@ class InfeasibleError(ValueError):
 class _CeilingError(InfeasibleError):
     """Edge target above the u -> inf ceiling; args are (target, ceiling).
 
-    The share search raises and discards thousands of these per plan, so
-    the message is formatted only when read.
+    The message is formatted only when read: callers that probe many shares
+    catch these by the type alone.
     """
 
     def __str__(self) -> str:
@@ -282,6 +282,40 @@ def _edge_target(
     return mu_m, offered, floor_rate, theta
 
 
+def _ceiling(v: float, epsilon_s: float) -> float:
+    """sup over R of Phi_edge: its u -> inf limit 1 - e^(-v eps)."""
+    return -math.expm1(-v * epsilon_s)
+
+
+def _margin(v: float, edge_target: float, epsilon_s: float) -> float:
+    """Ceiling minus edge target; +inf when the target is nonpositive."""
+    if edge_target <= 0.0:
+        return math.inf
+    return _ceiling(v, epsilon_s) - edge_target
+
+
+def ceiling_margin(
+    user: UserProfile,
+    task: TaskProfile,
+    edge: EdgeProfile,
+    qos: QosTarget,
+    beta: float,
+) -> float:
+    """Room between the edge ceiling and the edge target at share beta.
+
+    rate_threshold returns a rate exactly where this is positive and raises
+    where it is not: it decides feasibility with the same expression.
+    -inf where a queue is unstable (rate_threshold raises StabilityError),
+    +inf where the local share alone meets theta.  Never raises for beta in
+    (0, 1], so a search can probe shares without exceptions.
+    """
+    try:
+        mu_m, offered, _, edge_target = _edge_target(user, task, edge, qos, beta)
+    except StabilityError:
+        return -math.inf
+    return _margin(mu_m - offered, edge_target, qos.delay_s)
+
+
 def rate_threshold(
     user: UserProfile,
     task: TaskProfile,
@@ -297,13 +331,12 @@ def rate_threshold(
     solving (any stable rate works).
     """
     mu_m, offered, floor_rate, edge_target = _edge_target(user, task, edge, qos, beta)
-    if edge_target <= 0.0:
-        return floor_rate  # reliability already met locally
     eps = qos.delay_s
-    sup = -math.expm1(-(mu_m - offered) * eps)  # u -> inf limit of Phi_edge
-    diff = sup - edge_target
+    diff = _margin(mu_m - offered, edge_target, eps)
+    if diff == math.inf:
+        return floor_rate  # reliability already met locally
     if diff <= 0.0:
-        raise _CeilingError(edge_target, sup)
+        raise _CeilingError(edge_target, _ceiling(mu_m - offered, eps))
     root = _genuine_root_rate(mu_m, offered, diff, eps, task.mean_job_bits)
     return max(root, floor_rate)
 

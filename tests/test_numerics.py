@@ -1,5 +1,8 @@
 """Root finding, scalar minimization and Lambert W checks.
 
+The share search's minimizer is compared bit for bit with the dense scan
+it replaced, kept in dense_scan.py.
+
 The Lambert W implementation is compared against scipy's on both real
 branches, except in a tiny neighborhood of the branch point x = -1/e where
 scipy itself loses digits; there the defining residual w * e^w - x is the
@@ -13,6 +16,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 from scipy.special import lambertw as scipy_lambertw
 
+from dense_scan import dense_scan_minimize
 from thzplanner import find_root, lambert_w, minimize_scalar
 from thzplanner.numerics import lambert_w_log, lambert_w_log_lower, min_cost_assignment
 
@@ -132,40 +136,119 @@ class TestLambertLog:
                 lambert_w_log(q)
 
 
+def positive(t):
+    return 1.0
+
+
+def tent(center, half_width):
+    """Margin positive on (center - half_width, center + half_width) only."""
+    return lambda t: half_width - abs(t - center)
+
+
+def gated(f, lo, hi, margin):
+    """(objective, lo, hi, margin) with the objective inf where the margin
+    is not positive, as minimize_scalar requires."""
+    return (lambda t: f(t) if margin(t) > 0.0 else math.inf), lo, hi, margin
+
+
+# unimodal objectives on margins with one peak
+SCAN_CASES = {
+    "interior": gated(lambda t: (t - 0.3) ** 2 + 1.0, 0.0, 1.0, positive),
+    "run_inside_range": gated(lambda t: (t - 0.55) ** 2, 0.0, 1.0, tent(0.5, 0.3)),
+    "least_at_run_start": gated(lambda t: t, 0.0, 1.0, tent(0.6, 0.25)),
+    "least_at_run_end": gated(lambda t: -t, 0.0, 1.0, tent(0.6, 0.25)),
+    "least_at_range_end": gated(lambda t: 5.0 - t, 2.0, 5.0, tent(5.0, 1.5)),
+    # +inf margin plateau (the local share alone meets the target), then
+    # -inf past a stability limit
+    "infinite_margins": gated(
+        lambda t: (t - 0.45) ** 2,
+        0.0,
+        1.0,
+        lambda t: math.inf if t < 0.4 else (0.8 - t if t < 0.9 else -math.inf),
+    ),
+    # a flat bottom of about 20 lattice points: the first of them wins
+    "flat_bottom": gated(lambda t: max(abs(t - 0.5), 0.01), 0.0, 1.0, positive),
+    # the objective is non-finite where the margin is not positive
+    "nan_outside_run": (
+        lambda t: float("nan") if t < 0.5 else (t - 0.7) ** 2, 0.0, 1.0, lambda t: t - 0.5,
+    ),
+    "single_point_run": gated(lambda t: t, 0.0, 1.0, tent(512 / 1023, 1e-4)),
+}
+
+
 class TestMinimizeScalar:
+    """The bracketed lattice search against the dense scan it replaced."""
+
+    @pytest.mark.parametrize("case", sorted(SCAN_CASES))
+    def test_matches_dense_scan(self, case):
+        f, lo, hi, margin = SCAN_CASES[case]
+        assert repr(minimize_scalar(f, lo, hi, margin)) == repr(dense_scan_minimize(f, lo, hi))
+
     def test_quadratic_interior(self):
-        x, fx = minimize_scalar(lambda t: (t - 0.3) ** 2 + 1.0, 0.0, 1.0)
+        x, fx = minimize_scalar(lambda t: (t - 0.3) ** 2 + 1.0, 0.0, 1.0, positive)
         assert abs(x - 0.3) < 1e-7
         assert abs(fx - 1.0) < 1e-13
 
     def test_boundary_minimum(self):
-        x, fx = minimize_scalar(lambda t: t, 2.0, 5.0)
+        x, fx = minimize_scalar(lambda t: t, 2.0, 5.0, positive)
         assert abs(x - 2.0) < 1e-6
         assert fx == pytest.approx(2.0, abs=1e-6)
 
     def test_partial_nan_objective(self):
-        # nan regions are treated as +inf, the finite valley still wins
+        # nan where the margin is not positive; the valley right of it wins
         def f(t):
             return float("nan") if t < 0.5 else (t - 0.7) ** 2
 
-        x, _ = minimize_scalar(f, 0.0, 1.0)
+        x, _ = minimize_scalar(f, 0.0, 1.0, lambda t: t - 0.5)
         assert abs(x - 0.7) < 1e-6
 
     def test_all_non_finite_raises(self):
         with pytest.raises(ValueError):
-            minimize_scalar(lambda t: float("inf"), 0.0, 1.0)
+            minimize_scalar(lambda t: float("inf"), 0.0, 1.0, lambda t: -1.0)
+
+    def test_non_finite_objective_on_the_run_raises(self):
+        with pytest.raises(ValueError):
+            minimize_scalar(lambda t: float("inf"), 0.0, 1.0, positive)
+
+    def test_probes_logarithmically(self):
+        calls = {"f": 0, "margin": 0}
+
+        def f(t):
+            calls["f"] += 1
+            return (t - 0.55) ** 2
+
+        def margin(t):
+            calls["margin"] += 1
+            return 0.3 - abs(t - 0.5)
+
+        minimize_scalar(f, 0.0, 1.0, margin)
+        # a scan probes all 1,024 points; the golden section adds about 27
+        assert calls["margin"] <= 40
+        assert calls["f"] <= 60
+
+    def test_window_narrower_than_a_cell(self):
+        # the lattice points are i/1023: none lies within 1e-4 of 0.5
+        f, lo, hi, margin = gated(lambda t: (t - 0.50005) ** 2, 0.0, 1.0, tent(0.5, 1e-4))
+        x, _ = minimize_scalar(f, lo, hi, margin)
+        assert x == pytest.approx(0.50005, abs=1e-7)
+        with pytest.raises(ValueError):
+            dense_scan_minimize(f, lo, hi)
+
+    def test_window_that_never_opens_raises(self):
+        with pytest.raises(ValueError):
+            minimize_scalar(lambda t: t, 0.0, 1.0, lambda t: -1e-9 - abs(t - 0.5))
 
     def test_deterministic(self):
         def f(t):
-            return math.sin(5.0 * t) + 0.1 * t
+            return math.cosh(t - 1.7) + 0.1 * t
 
-        a = minimize_scalar(f, 0.0, 3.0)
-        b = minimize_scalar(f, 0.0, 3.0)
+        a = minimize_scalar(f, 0.0, 3.0, positive)
+        b = minimize_scalar(f, 0.0, 3.0, positive)
         assert a == b
 
     def test_bad_bracket(self):
         with pytest.raises(ValueError):
-            minimize_scalar(lambda t: t, 1.0, 1.0)
+            minimize_scalar(lambda t: t, 1.0, 1.0, positive)
 
 
 class TestFindRoot:

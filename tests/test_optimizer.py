@@ -1,6 +1,7 @@
 """Planner: per-user share minimization, carrier matching, plan assembly.
 
-The share minimizer is checked against a dense grid scan of the exact same
+The share minimizer is checked bit for bit against the dense lattice scan
+it replaced (dense_scan.py) and against a finer grid scan of the same
 objective; carrier matching and the exact assignment solver behind
 brute_force_assignment against explicit enumeration of all injective
 assignments (kept here as a test-local reference) and against scipy.
@@ -9,12 +10,17 @@ assignments (kept here as a test-local reference) and against scipy.
 import dataclasses
 import itertools
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
+from scipy.optimize import minimize_scalar as scipy_minimize_scalar
 
 import thzplanner as tp
+from dense_scan import share_search_outcome
+from thzplanner import optimizer
 from thzplanner import (
     FEASIBLE,
     INFEASIBLE,
@@ -25,13 +31,16 @@ from thzplanner import (
     InfeasibleError,
     QosTarget,
     Scenario,
+    TaskProfile,
     UserProfile,
     apply_axis,
     assign_frequencies,
     brute_force_assignment,
+    ceiling_margin,
     minimize_rate_threshold,
     plan,
     rate_threshold,
+    rate_threshold_oracle,
 )
 
 REF = tp.reference_scenario()
@@ -106,7 +115,124 @@ def grid_scan(scenario, k, betas):
     return best
 
 
+def generated_users(seed, count):
+    """Single-user scenarios drawn from the ranges of the benchmark's plan
+    and verify scenarios (bench/gen.py), alternately."""
+    rng = random.Random(seed)
+    for j in range(count):
+        plan_kind = j % 2 == 0
+        miss_hi, f_l, f_m = (
+            (3e-2, (2e8, 2e9), (2e9, 3e10)) if plan_kind else (1e-4, (2e8, 8e8), (1e10, 3e10))
+        )
+        miss = math.exp(rng.uniform(math.log(1e-7), math.log(miss_hi)))
+        user = UserProfile(arrival_rate=rng.uniform(2.0, 25.0), local_cpu_hz=rng.uniform(*f_l))
+        yield dataclasses.replace(
+            REF,
+            users=(user,),
+            edge=EdgeProfile(cpu_hz=rng.uniform(*f_m)),
+            qos=QosTarget(delay_s=rng.uniform(0.02, 0.1), min_reliability=1.0 - miss),
+        )
+
+
+def outcome_kind(outcome):
+    if outcome == "infeasible":
+        return outcome
+    beta, rate = outcome
+    return "unconstrained" if rate == 0.0 else "full offload" if beta == 1.0 else "interior"
+
+
+def narrow_window_scenario():
+    """lambda = 40, mu_l = 30, mu_m = 60 jobs/s, eps = 80 ms, and theta 1e-8
+    below the peak over beta of the reliability ceiling
+    (1 - beta) Phi_l + beta (1 - e^(-(mu_m - beta lambda) eps)): the shares
+    that meet theta form a window narrower than one lattice cell."""
+    task = TaskProfile(mean_job_bits=1.0e4, mean_job_cycles=1.0e7)
+    lam, mu_l, mu_m, eps = 40.0, 30.0, 60.0, 0.08
+
+    def ceiling(b):
+        phi_l = -math.expm1(-(mu_l - (1.0 - b) * lam) * eps)
+        return (1.0 - b) * phi_l - b * math.expm1(-(mu_m - b * lam) * eps)
+
+    peak = scipy_minimize_scalar(
+        lambda b: -ceiling(b), bounds=(0.25, 1.0), method="bounded", options={"xatol": 1e-12}
+    )
+    return dataclasses.replace(
+        REF,
+        task=task,
+        users=(UserProfile(arrival_rate=lam, local_cpu_hz=mu_l * task.mean_job_cycles),),
+        edge=EdgeProfile(cpu_hz=mu_m * task.mean_job_cycles),
+        qos=QosTarget(delay_s=eps, min_reliability=-peak.fun - 1e-8),
+    )
+
+
 class TestMinimizeRateThreshold:
+    def test_matches_lattice_scan_on_generated_users(self):
+        kinds = Counter()
+        for scenario in generated_users(seed=14, count=2000):
+            outcome = share_search_outcome(scenario, 0)
+            assert repr(outcome) == repr(share_search_outcome(scenario, 0, dense=True)), scenario
+            kinds[outcome_kind(outcome)] += 1
+        assert set(kinds) == {"infeasible", "unconstrained", "full offload", "interior"}, kinds
+
+    def test_narrow_feasible_window(self):
+        sc = narrow_window_scenario()
+        user, qos = sc.users[0], sc.qos
+        # no lattice share clears the ceiling, so the scan found none
+        assert share_search_outcome(sc, 0, dense=True) == "infeasible"
+        beta, rate = minimize_rate_threshold(sc, 0)
+        assert 0.76786 < beta < 0.76803
+        assert rate == pytest.approx(
+            rate_threshold_oracle(user, sc.task, sc.edge, qos, beta), rel=1e-6
+        )
+        window = np.linspace(0.76786, 0.76803, 1701)
+        assert rate <= min(
+            rate_threshold(user, sc.task, sc.edge, qos, b)
+            for b in window
+            if ceiling_margin(user, sc.task, sc.edge, qos, b) > 0.0
+        ) * (1.0 + 1e-9)
+        assert plan(sc).users[0].status == FEASIBLE
+
+    @pytest.mark.parametrize("cut", [1e-5, 1e-4, 1e-3])
+    def test_infinite_rates_near_the_run_ends(self, monkeypatch, cut):
+        """rate_threshold returns inf without raising where log s > 700, that
+        is, where the margin is tiny against the ceiling.  Double inputs
+        never get there (s <= ceiling / margin <= 2^54), so the region is
+        planted: every margin below `cut` gives inf."""
+        genuine = tp.reliability._genuine_root_rate
+
+        def planted(mu_m, offered, diff, eps, bits):
+            if diff < cut:
+                kinds["planted"] += 1
+                return math.inf
+            return genuine(mu_m, offered, diff, eps, bits)
+
+        monkeypatch.setattr(tp.reliability, "_genuine_root_rate", planted)
+        kinds = Counter()
+        cases = [(REF, k) for k in range(len(REF.users))]
+        cases += [(sc, 0) for sc in generated_users(seed=15, count=100)]
+        for scenario, k in cases:
+            outcome = share_search_outcome(scenario, k)
+            assert repr(outcome) == repr(share_search_outcome(scenario, k, dense=True))
+            kinds[outcome_kind(outcome)] += 1
+        assert kinds["planted"] and kinds["full offload"] and kinds["interior"]
+
+    def test_reference_plan_rarely_calls_the_closed_form(self, monkeypatch):
+        counts = Counter()
+
+        def counting(*args):
+            counts["calls"] += 1
+            try:
+                return rate_threshold(*args)
+            except ValueError:
+                counts["raised"] += 1
+                raise
+
+        monkeypatch.setattr(optimizer, "rate_threshold", counting)
+        plan(REF)
+        # the dense scan made 10,506 calls, 8,370 of which raised
+        assert counts["calls"] < 1000
+        assert counts["raised"] <= 0.01 * counts["calls"]
+
     def test_matches_dense_grid_scan(self):
         # user 8 has an interior optimum; 20001-point scan brackets it
         betas = np.linspace(1e-6, 1.0, 20001)

@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import thzplanner as tp
+from dense_scan import lattice, share_search_outcome
 from thzplanner import (
     DEFAULT_ATTENUATION_FIT,
     EdgeProfile,
@@ -24,6 +25,7 @@ from thzplanner import (
     TaskProfile,
     UserProfile,
     achievable_distance,
+    ceiling_margin,
     data_rate,
     lambert_w,
     min_stable_share,
@@ -258,3 +260,88 @@ def test_share_search_stays_above_the_stability_floor(lam, local_ratio, edge_rat
         assert beta > min_stable_share(user, task)
     else:  # the local queue alone meets the target
         assert beta == 0.0 and lam < user.local_service_rate(task)
+
+
+def share_search_scenario(bits, cycles, lam, f_l, f_m, eps, miss):
+    return dataclasses.replace(
+        tp.single_user_scenario(),
+        task=TaskProfile(mean_job_bits=bits, mean_job_cycles=cycles),
+        users=(UserProfile(arrival_rate=lam, local_cpu_hz=f_l),),
+        edge=EdgeProfile(cpu_hz=f_m),
+        qos=QosTarget(delay_s=eps, min_reliability=1.0 - miss),
+    )
+
+
+# the extremes of test_rate_threshold_matches_oracle, with 1 - theta down
+# to 1e-12.  Below about 1e-14 the closed form's cancellation (see that
+# test) makes R(beta) ragged between lattice points, and the two searches
+# can settle in different ragged dips.
+SHARE_SEARCH_CASES = dict(
+    bits=log_uniform(1e3, 1e9),
+    cycles=log_uniform(1e5, 1e9),
+    lam=log_uniform(1e-2, 1e4),
+    f_l=log_uniform(1e6, 1e11),
+    f_m=log_uniform(1e7, 1e16),
+    eps=log_uniform(1e-5, 10.0),
+    miss=log_uniform(1e-12, 0.99),
+)
+
+
+def share_search_examples(test):
+    """One user per outcome of the share search."""
+    reference = dict(bits=8e6, cycles=1e7, eps=0.08)
+    for lam, f_l, f_m, miss in (
+        (10.0, 2e9, 2e10, 0.1),  # unconstrained: the local queue alone meets theta
+        (10.0, 1e6, 2e10, 1e-5),  # full offload: mu_l = 0.1 jobs/s
+        (19.0, 1.45e9, 2e10, 1e-5),  # interior share
+        (10.0, 1e6, 1.2e8, 1e-5),  # infeasible: the edge ceiling stays below theta
+    ):
+        test = example(lam=lam, f_l=f_l, f_m=f_m, miss=miss, **reference)(test)
+    return test
+
+
+@FIXED
+@given(**SHARE_SEARCH_CASES)
+@share_search_examples
+def test_share_search_matches_dense_scan(bits, cycles, lam, f_l, f_m, eps, miss):
+    """Same (beta, rate) bits as the dense lattice scan, or infeasible for both."""
+    scenario = share_search_scenario(bits, cycles, lam, f_l, f_m, eps, miss)
+    assert repr(share_search_outcome(scenario, 0)) == repr(
+        share_search_outcome(scenario, 0, dense=True)
+    )
+
+
+def _turns(values):
+    """(interior local minima, interior local maxima) once equal neighbours merge."""
+    merged = [v for i, v in enumerate(values) if i == 0 or v != values[i - 1]]
+    inner = list(zip(merged, merged[1:], merged[2:]))
+    return (
+        sum(1 for a, b, c in inner if a > b < c),
+        sum(1 for a, b, c in inner if a < b > c),
+    )
+
+
+@FIXED
+@given(**SHARE_SEARCH_CASES)
+@share_search_examples
+def test_share_search_lattice_structure(bits, cycles, lam, f_l, f_m, eps, miss):
+    """What the bracketed search assumes, on the lattice it searches: the
+    margin has a single peak, the shares with a positive margin form one
+    run, and R has no interior local maximum on that run (so at most one
+    interior local minimum)."""
+    scenario = share_search_scenario(bits, cycles, lam, f_l, f_m, eps, miss)
+    user, task, edge, qos = scenario.users[0], scenario.task, scenario.edge, scenario.qos
+    floor = min_stable_share(user, task)
+    # the range minimize_rate_threshold searches
+    lo = max(floor + 1e-9 * (1.0 - floor), math.nextafter(floor, 1.0))
+    assume(lo < 1.0)
+    betas = lattice(lo, 1.0)
+    margins = [ceiling_margin(user, task, edge, qos, b) for b in betas]
+    assert _turns(margins)[0] == 0
+    run = [i for i, m in enumerate(margins) if m > 0.0]
+    if not run:
+        return
+    assert run == list(range(run[0], run[-1] + 1))
+    rates = [rate_threshold(user, task, edge, qos, betas[i]) for i in run]
+    minima, maxima = _turns(rates)
+    assert maxima == 0 and minima <= 1
