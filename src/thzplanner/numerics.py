@@ -162,38 +162,27 @@ def _golden(
     return best_x, best_v
 
 
-def _lattice_argmin(key: Callable[[int], Tuple[float, float]], first: int, last: int) -> int:
-    """First index of the least key(i) over first <= i <= last, by Fibonacci search.
+def _lattice_argmin(key: Callable[[int], Tuple[float, float]], n: int) -> int:
+    """First index of the least key(i) over 0 <= i < n, by Fibonacci search.
 
-    key must fall and then rise; equal keys may sit only at the bottom.
-    Indices past last rank worst, so the open interval can have a
-    Fibonacci length, and every step after the first probes one new index
-    (key should cache).  Ties go to the lower index.
+    key must fall and then rise; equal keys may sit only at the bottom or
+    on the rise.  Indices past n - 1 rank worst, so the open interval can
+    have a Fibonacci length, and every step after the first probes one new
+    index (key should cache).  Ties go to the lower index.
     """
     fib = [1, 2]
-    while fib[-1] <= last - first + 1:
+    while fib[-1] <= n:
         fib.append(fib[-1] + fib[-2])
-    a = first - 1  # the answer lies in the open interval (a, a + fib[k])
+    a = -1  # the answer lies in the open interval (a, a + fib[k])
 
     def at(i: int) -> Tuple[float, float]:
-        return key(i) if i <= last else (math.inf, math.inf)
+        return key(i) if i < n else (math.inf, math.inf)
 
     for k in range(len(fib) - 1, 1, -1):
         c, d = a + fib[k - 2], a + fib[k - 1]
         if at(c) > at(d):
             a = c  # keep (c, a + fib[k]); else keep (a, d)
     return a + 1
-
-
-def _boundary(inside: Callable[[int], bool], i_in: int, i_out: int) -> int:
-    """Last index inside a run, walking from i_in towards i_out, by bisection."""
-    while abs(i_out - i_in) > 1:
-        mid = (i_in + i_out) // 2
-        if inside(mid):
-            i_in = mid
-        else:
-            i_out = mid
-    return i_in
 
 
 def minimize_scalar(
@@ -211,18 +200,20 @@ def minimize_scalar(
     positive.  Then the search returns what scanning every lattice point
     for the first least f would, in O(log n) probes:
 
-    1. the lattice peak of the margin, by Fibonacci search;
-    2. the ends of the positive run around it, by bisection;
-    3. the first lattice argmin of f on that run, by Fibonacci search;
-    4. golden-section refinement of f on the argmin's two neighbouring
+    1. one Fibonacci search of the whole lattice for the first least key,
+       (f, 0) where the margin is positive and f finite and (inf, -margin)
+       elsewhere: the key falls towards the run from either side, and f is
+       never evaluated where the margin is not positive;
+    2. golden-section refinement of f on the argmin's two neighbouring
        cells, below _MINIMIZE_TOL.
 
-    When no lattice point has a positive margin, the margin is maximized
-    on the two cells next to its lattice peak, and if the maximum clears 0
-    the window where it does is bracketed by bisection and f minimized in
-    it by the same golden section.  Returns (x, f(x)) for the best point
-    actually evaluated, so the reported value is exact.  Raises ValueError
-    when f is non-finite everywhere.  Deterministic for identical inputs.
+    When no lattice point has a positive margin, the argmin is the
+    margin's lattice peak: the margin is maximized on its two cells, and if
+    the maximum clears 0 the window where it does is bracketed by bisection
+    and f minimized in it by the same golden section.  Returns (x, f(x))
+    for the best point actually evaluated, so the reported value is exact.
+    Raises ValueError when f is non-finite everywhere.  Deterministic for
+    identical inputs.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
@@ -241,7 +232,7 @@ def minimize_scalar(
     def point(i: int) -> float:
         return lo + i * step if i < n - 1 else hi
 
-    # the searches revisit indices; each point is evaluated once
+    # the search revisits indices; each point is evaluated once
     room_at = functools.cache(lambda i: _room(point(i)))
     value_at = functools.cache(lambda i: _eval(point(i)))
 
@@ -251,26 +242,22 @@ def minimize_scalar(
         b = lo + (i + 1) * step if i < n - 1 else hi
         return max(a, lo), min(b, hi)
 
-    peak = _lattice_argmin(lambda i: (-room_at(i), 0.0), 0, n - 1)
-    if room_at(peak) <= 0.0:
-        # any window where the margin clears 0 lies in the peak's two cells
-        a, b = cells(peak)
-        x_top, low = _golden(lambda x: -_room(x), a, b, point(peak), -room_at(peak))
+    def rank(i: int) -> Tuple[float, float]:
+        room = room_at(i)
+        v = value_at(i) if room > 0.0 else math.inf
+        return (v, 0.0) if v < math.inf else (v, -room)
+
+    best_i = _lattice_argmin(rank, n)
+    if room_at(best_i) <= 0.0:
+        # best_i is the margin's lattice peak, and any window where the
+        # margin clears 0 lies in the peak's two cells
+        a, b = cells(best_i)
+        x_top, low = _golden(lambda x: -_room(x), a, b, point(best_i), -room_at(best_i))
         if not low < 0.0:
             raise ValueError("margin is nowhere positive")
         left = find_root(_room, a, x_top, _MINIMIZE_TOL)
         right = find_root(_room, x_top, b, _MINIMIZE_TOL)
         return _golden(_eval, left, right, x_top, _eval(x_top))
-
-    def inside(i: int) -> bool:
-        return room_at(i) > 0.0
-
-    def rank(i: int) -> Tuple[float, float]:
-        # f is inf only where the margin is small: there, lead to the peak
-        v = value_at(i)
-        return v, (-room_at(i) if v == math.inf else 0.0)
-
-    best_i = _lattice_argmin(rank, _boundary(inside, peak, -1), _boundary(inside, peak, n))
     best_v = value_at(best_i)
     if not math.isfinite(best_v):
         raise ValueError("objective is non-finite everywhere on the feasible run")

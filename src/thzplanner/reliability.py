@@ -37,19 +37,6 @@ class InfeasibleError(ValueError):
     """No transmission rate can reach the reliability target."""
 
 
-class _CeilingError(InfeasibleError):
-    """Edge target above the u -> inf ceiling; args are (target, ceiling).
-
-    The message is formatted only when read: callers that probe many shares
-    catch these by the type alone.
-    """
-
-    def __str__(self) -> str:
-        return "edge reliability target {:.12g} is not reachable: ceiling is {:.12g}".format(
-            *self.args
-        )
-
-
 @dataclass(frozen=True)
 class TaskProfile:
     """Workload statistics of one job (exponentially distributed)."""
@@ -240,9 +227,7 @@ def _genuine_root_rate(
     v = mu_m - offered
     log_lam = v * epsilon_s + math.log(diff) - math.log(v)
     log_s = math.log(epsilon_s) - log_lam
-    if log_s > 700.0:
-        return math.inf  # required rate beyond representable range
-    s = math.exp(log_s)
+    s = math.exp(log_s)  # s <= sup / diff and diff >= ~2^-53 sup: log s <= ~38
     if log_s < -690.0:
         # W's argument underflows, and w ~ -v eps would cancel in
         # mu_m + w / eps.  w + log(-w) = log s - s gives x = u eps directly.
@@ -336,7 +321,10 @@ def rate_threshold(
     if diff == math.inf:
         return floor_rate  # reliability already met locally
     if diff <= 0.0:
-        raise _CeilingError(edge_target, _ceiling(mu_m - offered, eps))
+        raise InfeasibleError(
+            f"edge reliability target {edge_target:.12g} is not reachable: "
+            f"ceiling is {_ceiling(mu_m - offered, eps):.12g}"
+        )
     root = _genuine_root_rate(mu_m, offered, diff, eps, task.mean_job_bits)
     return max(root, floor_rate)
 

@@ -173,6 +173,10 @@ SCAN_CASES = {
         lambda t: float("nan") if t < 0.5 else (t - 0.7) ** 2, 0.0, 1.0, lambda t: t - 0.5,
     ),
     "single_point_run": gated(lambda t: t, 0.0, 1.0, tent(512 / 1023, 1e-4)),
+    # the least f lies far from the margin peak, near an end of the run:
+    # the search ranks off-run indices there against on-run ones
+    "peak_right_of_minimum": gated(lambda t: (t - 0.35) ** 2, 0.0, 1.0, tent(0.8, 0.5)),
+    "peak_left_of_minimum": gated(lambda t: (t - 0.9) ** 2, 0.0, 1.0, tent(0.2, 0.75)),
 }
 
 
@@ -222,8 +226,9 @@ class TestMinimizeScalar:
             return 0.3 - abs(t - 0.5)
 
         minimize_scalar(f, 0.0, 1.0, margin)
-        # a scan probes all 1,024 points; the golden section adds about 27
-        assert calls["margin"] <= 40
+        # a scan probes all 1,024 points, one Fibonacci pass 15 of them; the
+        # golden section adds about 27 f calls
+        assert calls["margin"] <= 20
         assert calls["f"] <= 60
 
     def test_window_narrower_than_a_cell(self):

@@ -194,10 +194,10 @@ class TestMinimizeRateThreshold:
 
     @pytest.mark.parametrize("cut", [1e-5, 1e-4, 1e-3])
     def test_infinite_rates_near_the_run_ends(self, monkeypatch, cut):
-        """rate_threshold returns inf without raising where log s > 700, that
-        is, where the margin is tiny against the ceiling.  Double inputs
-        never get there (s <= ceiling / margin <= 2^54), so the region is
-        planted: every margin below `cut` gives inf."""
+        """rate_threshold can return inf without raising, where the rate
+        (mu_m + (w + s) / eps) * L_a overflows.  Double inputs rarely get
+        there, so the region is planted where the margin is tiny against
+        the ceiling: every margin below `cut` gives inf."""
         genuine = tp.reliability._genuine_root_rate
 
         def planted(mu_m, offered, diff, eps, bits):
