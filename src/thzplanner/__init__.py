@@ -58,6 +58,7 @@ from .reliability import (
     local_reliability,
     min_stable_share,
     queue_rates,
+    rate_slope,
     rate_threshold,
     rate_threshold_oracle,
     system_reliability,

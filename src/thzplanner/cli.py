@@ -35,6 +35,7 @@ from .optimizer import (
 from .reliability import (
     InfeasibleError,
     StabilityError,
+    ceiling_margin,
     min_stable_share,
     rate_threshold,
     rate_threshold_oracle,
@@ -263,23 +264,28 @@ def cmd_simulate(args) -> int:
 
 
 def _verify_thresholds(scenario: Scenario, lines: List[str]) -> int:
-    """Closed-form thresholds vs bisection on a beta grid; returns #failures."""
+    """Closed-form thresholds vs bisection on a beta grid; returns #failures.
+
+    Shares where ceiling_margin is not positive are skipped and counted: no
+    rate meets the target there, and rate_threshold would only raise.
+    """
     failures = 0
     checked = 0
+    skipped = 0
+    task, edge, qos = scenario.task, scenario.edge, scenario.qos
     for k, user in enumerate(scenario.users):
-        beta_lo = min_stable_share(user, scenario.task)
+        beta_lo = min_stable_share(user, task)
         worst = 0.0
         for j in range(1, 22):
             beta = beta_lo + (1.0 - beta_lo) * j / 21.0
-            try:
-                closed = rate_threshold(
-                    user, scenario.task, scenario.edge, scenario.qos, beta
-                )
-                oracle = rate_threshold_oracle(
-                    user, scenario.task, scenario.edge, scenario.qos, beta
-                )
-            except (InfeasibleError, StabilityError):
+            if ceiling_margin(user, task, edge, qos, beta) <= 0.0:
+                skipped += 1
                 continue
+            closed = rate_threshold(user, task, edge, qos, beta)
+            try:
+                oracle = rate_threshold_oracle(user, task, edge, qos, beta)
+            except InfeasibleError:
+                continue  # the oracle gives up above 1e15 bit/s
             if not (math.isfinite(closed) and math.isfinite(oracle)):
                 continue
             checked += 1
@@ -291,7 +297,8 @@ def _verify_thresholds(scenario: Scenario, lines: List[str]) -> int:
             )
     if failures == 0:
         lines.append(
-            f"ok   rate thresholds match bisection oracle (1e-6 rel, {checked} points)"
+            f"ok   rate thresholds match bisection oracle (1e-6 rel, {checked} points;"
+            f" {skipped} shares skipped, no rate meets the target there)"
         )
     return failures
 

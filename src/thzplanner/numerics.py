@@ -1,5 +1,9 @@
 """Numerical kernels: Lambert W, bracketed minimization, bisection, assignment.
 
+The minimizer finds a lattice argmin by Fibonacci search and then solves
+for the root of the objective's slope by Illinois false position: a root
+of the slope is well conditioned where the flat minimum itself is not.
+
 Everything here is dependency-free on purpose.  The planner inverts its
 link-budget and queueing expressions through these routines, and keeping
 them in plain Python makes the closed forms easy to audit against the
@@ -15,9 +19,12 @@ from typing import Callable, Sequence, Tuple
 _E = math.e
 _INV_E = math.exp(-1.0)
 _MAX_HALLEY_ITER = 64
-# minimize_scalar: lattice points, final bracket width
+# minimize_scalar: lattice points, margin-peak bracket width, slope-root
+# bracket width, false-position step cap
 _LATTICE_POINTS = 1024
 _MINIMIZE_TOL = 1e-8
+_ROOT_TOL = 1e-9
+_MAX_FALSE_POSITION_ITER = 200
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 
 
@@ -26,8 +33,10 @@ def _halley_w(x: float, w: float) -> float:
 
     Converges cubically.  The residual target scales with |x| (not with
     max(1, |x|)): on the lower branch w * exp(w) is itself tiny, and an
-    absolute target would accept the unpolished seed.  The step-size break
-    ends the loop once double precision saturates.
+    absolute target would accept the unpolished seed.  That target can lie
+    below what one ulp of w resolves (lower branch, |w| of about 100 and
+    more), so the loop also ends once a step is at most a few ulps of w,
+    where w would only stay put or flip between neighbouring doubles.
     """
     target = 1e-14 * max(abs(x), 1e-308)
     for _ in range(_MAX_HALLEY_ITER):
@@ -45,7 +54,7 @@ def _halley_w(x: float, w: float) -> float:
             break
         step = err / denom
         w -= step
-        if abs(step) <= 1e-16 * (1.0 + abs(w)):
+        if abs(step) <= 4.0 * math.ulp(w):
             break
     return w
 
@@ -162,6 +171,43 @@ def _golden(
     return best_x, best_v
 
 
+def _false_position(
+    g: Callable[[float], float], a: float, ga: float, b: float, gb: float
+) -> Tuple[float, float]:
+    """Illinois false position (Dowell & Jarratt 1971) on g's sign change.
+
+    ga = g(a) and gb = g(b) must be nonzero and of opposite signs.  Each
+    step probes the secant's zero and keeps the end across which g changes
+    sign; an end kept twice in a row has its value halved, which stops the
+    one-sided creep of plain false position.  Returns the last bracket, at
+    most _ROOT_TOL wide (or (c, c) at an exact zero c); g was evaluated at
+    both its ends.
+    """
+    kept = 0  # 1: b was kept by the last step, -1: a was
+    for _ in range(_MAX_FALSE_POSITION_ITER):
+        if abs(b - a) <= _ROOT_TOL:
+            break
+        c = b - gb * (b - a) / (gb - ga)
+        if not min(a, b) < c < max(a, b):
+            c = 0.5 * (a + b)  # the secant rounded onto an end
+            if c in (a, b):
+                break
+        gc = g(c)
+        if gc == 0.0:
+            return c, c
+        if (gc < 0.0) == (ga < 0.0):
+            a, ga = c, gc
+            if kept == 1:
+                gb *= 0.5
+            kept = 1
+        else:
+            b, gb = c, gc
+            if kept == -1:
+                ga *= 0.5
+            kept = -1
+    return a, b
+
+
 def _lattice_argmin(key: Callable[[int], Tuple[float, float]], n: int) -> int:
     """First index of the least key(i) over 0 <= i < n, by Fibonacci search.
 
@@ -190,39 +236,51 @@ def minimize_scalar(
     lo: float,
     hi: float,
     margin: Callable[[float], float],
+    slope: Callable[[float, float], float],
 ) -> Tuple[float, float]:
-    """Minimize f where margin > 0 on [lo, hi]: lattice search, then golden section.
+    """Minimize f where margin > 0 on [lo, hi]: lattice search, then the root
+    of f's slope.
 
     f is inf (or nan) where margin(x) <= 0, and may be inf where the
-    margin is positive but small; elsewhere it is finite.  On the lattice
-    of _LATTICE_POINTS evenly spaced points the margin must have a single
-    peak, and f no interior local maximum on the run where the margin is
-    positive.  Then the search returns what scanning every lattice point
-    for the first least f would, in O(log n) probes:
+    margin is positive but small; elsewhere it is finite.  slope(x, f(x))
+    is f's derivative at x, asked for only where f(x) is finite; only its
+    sign and its zero matter.  On the lattice of _LATTICE_POINTS evenly
+    spaced points the margin must have a single peak, and f no interior
+    local maximum on the run where the margin is positive.  Then:
 
-    1. one Fibonacci search of the whole lattice for the first least key,
+    1. one Fibonacci search of the whole lattice finds the first least key,
        (f, 0) where the margin is positive and f finite and (inf, -margin)
        elsewhere: the key falls towards the run from either side, and f is
        never evaluated where the margin is not positive;
-    2. golden-section refinement of f on the argmin's two neighbouring
-       cells, below _MINIMIZE_TOL.
+    2. the slope at that point says on which side f falls.  If that side
+       is past lo or hi, the point is the minimum.  Otherwise the side's
+       neighbour bounds a bracket; where the run ends inside that cell, the
+       bracket ends at the run's last point, found by bisection (to
+       _ROOT_TOL) on the margin and f's finiteness;
+    3. where the slope changes sign across the bracket, Illinois false
+       position narrows it below _ROOT_TOL, and the end with the smaller
+       slope is the minimum.  Where it does not, f falls all the way to
+       the bracket's end, and the lower of the two points wins.
 
-    When no lattice point has a positive margin, the argmin is the
-    margin's lattice peak: the margin is maximized on its two cells, and if
-    the maximum clears 0 the window where it does is bracketed by bisection
-    and f minimized in it by the same golden section.  Returns (x, f(x))
-    for the best point actually evaluated, so the reported value is exact.
-    Raises ValueError when f is non-finite everywhere.  Deterministic for
-    identical inputs.
+    f is therefore never evaluated where the margin is not positive.  When
+    no lattice point has a positive margin, the argmin is the margin's
+    lattice peak: the margin is maximized on its two cells by golden
+    section (margin probes only), and if the maximum clears 0, steps 2-3
+    run from there.  Returns (x, f(x)) for a point actually evaluated, so
+    the reported value is exact.  Raises ValueError when f is non-finite
+    everywhere.  Deterministic for identical inputs.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
 
-    def _eval(x: float) -> float:
+    # each point is evaluated once: the steps revisit points
+    @functools.cache
+    def value_of(x: float) -> float:
         v = f(x)
         return v if v == v else math.inf
 
-    def _room(x: float) -> float:
+    @functools.cache
+    def room_of(x: float) -> float:
         g = margin(x)
         return g if g == g else -math.inf
 
@@ -232,36 +290,57 @@ def minimize_scalar(
     def point(i: int) -> float:
         return lo + i * step if i < n - 1 else hi
 
-    # the search revisits indices; each point is evaluated once
-    room_at = functools.cache(lambda i: _room(point(i)))
-    value_at = functools.cache(lambda i: _eval(point(i)))
-
-    def cells(i: int) -> Tuple[float, float]:
-        """The two lattice cells on either side of point i."""
-        a = lo + (i - 1) * step if i > 0 else lo
-        b = lo + (i + 1) * step if i < n - 1 else hi
-        return max(a, lo), min(b, hi)
-
     def rank(i: int) -> Tuple[float, float]:
-        room = room_at(i)
-        v = value_at(i) if room > 0.0 else math.inf
+        room = room_of(point(i))
+        v = value_of(point(i)) if room > 0.0 else math.inf
         return (v, 0.0) if v < math.inf else (v, -room)
 
+    def usable(x: float) -> bool:
+        return room_of(x) > 0.0 and value_of(x) < math.inf
+
+    @functools.cache
+    def slope_at(x: float) -> float:
+        return slope(x, value_of(x))
+
+    def descend(x: float, a: float, b: float) -> Tuple[float, float]:
+        """Steps 2-3 from the point x of the cells [a, b]."""
+        if not usable(x):
+            return x, value_of(x)
+        s = slope_at(x)
+        end = b if s < 0.0 else a
+        if s == 0.0 or end == x:
+            return x, value_of(x)
+        inside = x
+        while not usable(end) and abs(end - inside) > _ROOT_TOL:
+            mid = 0.5 * (inside + end)
+            if mid in (inside, end):
+                break
+            if usable(mid):
+                inside = mid
+            else:
+                end = mid
+        if not usable(end):
+            end = inside
+        s_end = slope_at(end)
+        if s_end == 0.0 or (s_end < 0.0) == (s < 0.0):
+            # no sign change: f falls all the way to the run's end
+            return min((end, value_of(end)), (x, value_of(x)), key=lambda p: p[1])
+        root = min(_false_position(slope_at, x, s, end, s_end), key=lambda e: abs(slope_at(e)))
+        return root, value_of(root)
+
     best_i = _lattice_argmin(rank, n)
-    if room_at(best_i) <= 0.0:
+    a = point(best_i - 1) if best_i > 0 else lo
+    b = point(best_i + 1) if best_i < n - 1 else hi
+    if room_of(point(best_i)) <= 0.0:
         # best_i is the margin's lattice peak, and any window where the
         # margin clears 0 lies in the peak's two cells
-        a, b = cells(best_i)
-        x_top, low = _golden(lambda x: -_room(x), a, b, point(best_i), -room_at(best_i))
+        x_top, low = _golden(lambda x: -room_of(x), a, b, point(best_i), -room_of(point(best_i)))
         if not low < 0.0:
             raise ValueError("margin is nowhere positive")
-        left = find_root(_room, a, x_top, _MINIMIZE_TOL)
-        right = find_root(_room, x_top, b, _MINIMIZE_TOL)
-        return _golden(_eval, left, right, x_top, _eval(x_top))
-    best_v = value_at(best_i)
-    if not math.isfinite(best_v):
+        return descend(x_top, a, b)
+    if not value_of(point(best_i)) < math.inf:
         raise ValueError("objective is non-finite everywhere on the feasible run")
-    return _golden(_eval, *cells(best_i), point(best_i), best_v)
+    return descend(point(best_i), a, b)
 
 
 def find_root(

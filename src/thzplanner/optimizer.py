@@ -34,6 +34,7 @@ from .reliability import (
     ceiling_margin,
     local_reliability,
     min_stable_share,
+    rate_slope,
     rate_threshold,
 )
 
@@ -125,8 +126,11 @@ def minimize_rate_threshold(scenario: Scenario, user_index: int) -> Tuple[float,
     def margin(beta: float) -> float:
         return ceiling_margin(user, task, edge, qos, beta)
 
+    def slope(beta: float, rate: float) -> float:
+        return rate_slope(user, task, edge, qos, beta, rate)
+
     try:
-        beta_star, rate_star = minimize_scalar(objective, lo, 1.0, margin)
+        beta_star, rate_star = minimize_scalar(objective, lo, 1.0, margin, slope)
     except ValueError as exc:
         # every share in the stable range is infeasible
         raise InfeasibleError(

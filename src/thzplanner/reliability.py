@@ -27,6 +27,9 @@ from .numerics import lambert_w, lambert_w_log_lower
 STABILITY_MARGIN = 1e-6
 # u and v closer than this (relative) use the equal-rates limit
 _DEGENERATE_RTOL = 1e-9
+# g(x) = sum over j >= 0 of (-x)^j / (j + 2)!, highest power first; nine
+# terms reach double precision for |x| < 0.1
+_G_SERIES = tuple(1.0 / math.factorial(j + 2) for j in range(8, -1, -1))
 
 
 class StabilityError(ValueError):
@@ -327,6 +330,72 @@ def rate_threshold(
         )
     root = _genuine_root_rate(mu_m, offered, diff, eps, task.mean_job_bits)
     return max(root, floor_rate)
+
+
+def _tail_rate_slope(rates: QueueRates, epsilon_s: float) -> float:
+    """d(tail)/du of the tandem tail e_v + rest, at a fixed v:
+
+        -v eps^2 e^(-u eps) g((v - u) eps),  g(x) = (e^(-x) - 1 + x) / x^2
+
+    Near x = 0 (the u = v limit, g(0) = 1/2) g is summed from its series,
+    since the closed form cancels there; elsewhere e^(-u eps) g(x) is formed
+    as (e^(-v eps) - e^(-u eps) (1 - x)) / x^2, which cannot overflow.
+    """
+    u, v = rates.u, rates.v
+    x = (v - u) * epsilon_s
+    e_u = math.exp(-u * epsilon_s)
+    if abs(x) < 0.1:
+        g = 0.0
+        for c in _G_SERIES:
+            g = g * -x + c
+        scaled = e_u * g
+    else:
+        scaled = (math.exp(-v * epsilon_s) - e_u * (1.0 - x)) / (x * x)
+    return -v * epsilon_s * epsilon_s * scaled
+
+
+def rate_slope(
+    user: UserProfile,
+    task: TaskProfile,
+    edge: EdgeProfile,
+    qos: QosTarget,
+    beta: float,
+    rate: float,
+) -> float:
+    """dR*/dbeta, the slope of rate_threshold at share beta; rate is
+    rate_threshold's value there.
+
+    With the outage M(beta, R) = (1-beta) e^(-n eps) + beta T(u, v), T the
+    tandem tail e_v + rest of _edge_tail, the implicit function theorem
+    gives dR*/dbeta = -(dM/dbeta) / (dM/dR), where
+
+        dM/dbeta = T (1 + beta lambda eps) - beta lambda rest / v
+                   - e^(-n eps) (1 + (1-beta) lambda eps)
+        dM/dR    = beta (dT/du) / L_a  < 0,
+
+    since shifting u and v down together changes T by eps T - rest / v.  So
+    the slope has the sign of dM/dbeta.  Where the rate sits on the
+    stability floor (also where the local share alone meets theta) it is
+    the floor's slope lambda L_a (1 + STABILITY_MARGIN).
+    """
+    lam, bits = user.arrival_rate, task.mean_job_bits
+    offered = beta * lam
+    if rate <= offered * bits * (1.0 + STABILITY_MARGIN):
+        return lam * bits * (1.0 + STABILITY_MARGIN)
+    eps = qos.delay_s
+    rates = queue_rates(user, task, edge, beta, rate)
+    e_v, rest = _edge_tail(rates, eps)
+    tail = e_v + rest
+    local = user.local_service_rate(task) - (1.0 - beta) * lam
+    dm_dbeta = (
+        tail * (1.0 + offered * eps)
+        - offered * rest / rates.v
+        - math.exp(-local * eps) * (1.0 + (1.0 - beta) * lam * eps)
+    )
+    dm_drate = beta * _tail_rate_slope(rates, eps) / bits
+    if dm_drate == 0.0:  # the tail underflowed; its sign is all that is left
+        return math.copysign(math.inf, dm_dbeta)
+    return -dm_dbeta / dm_drate
 
 
 def rate_threshold_oracle(

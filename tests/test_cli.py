@@ -508,6 +508,29 @@ class TestVerifyCommand:
         assert "ok   planned assignment matches the exact optimum (10 users)" in out
         assert "mixed differences positive" in out
 
+    def test_threshold_check_skips_shares_without_a_rate(self, capsys, monkeypatch):
+        """The closed form is asked only at shares where ceiling_margin
+        leaves it a root, so no threshold call raises; the others are
+        counted as skipped."""
+        calls = {"made": 0, "raised": 0}
+        real = cli.rate_threshold
+
+        def counting(*args):
+            calls["made"] += 1
+            try:
+                return real(*args)
+            except ValueError:
+                calls["raised"] += 1
+                raise
+
+        monkeypatch.setattr(cli, "rate_threshold", counting)
+        assert cli.main(["verify", REFERENCE]) == 0
+        assert calls == {"made": 46, "raised": 0}
+        assert (
+            "ok   rate thresholds match bisection oracle (1e-6 rel, 46 points;"
+            " 164 shares skipped, no rate meets the target there)"
+        ) in capsys.readouterr().out
+
     def test_log_domain_user_passes(self, tmp_path, capsys):
         path = tmp_path / "log_domain.yaml"
         path.write_text(LOG_DOMAIN_YAML)

@@ -1,7 +1,8 @@
 """Root finding, scalar minimization and Lambert W checks.
 
-The share search's minimizer is compared bit for bit with the dense scan
-it replaced, kept in dense_scan.py.
+The share search's minimizer is compared with the dense scan it replaced,
+kept in dense_scan.py: the same lattice argmin bit for bit, and a point
+no worse.
 
 The Lambert W implementation is compared against scipy's on both real
 branches, except in a tiny neighborhood of the branch point x = -1/e where
@@ -11,14 +12,17 @@ arbiter.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 from scipy.special import lambertw as scipy_lambertw
 
-from dense_scan import dense_scan_minimize
-from thzplanner import find_root, lambert_w, minimize_scalar
+from dense_scan import dense_scan_minimize, dense_scan_search
+from thzplanner import find_root, lambert_w, minimize_scalar, numerics
 from thzplanner.numerics import lambert_w_log, lambert_w_log_lower, min_cost_assignment
+
+numerics_lattice_argmin = numerics._lattice_argmin
 
 BRANCH_POINT = -1.0 / math.e
 
@@ -136,6 +140,29 @@ class TestLambertLog:
                 lambert_w_log(q)
 
 
+class TestHalleyStop:
+    def test_deep_lower_branch_stops_on_the_step(self, monkeypatch):
+        """At x = -1.19e-54 (w about -129) the residual target 1e-14 |x| is
+        finer than one ulp of w resolves: the loop must end on its step
+        size, not run all 64 iterations."""
+        x = -1.1912360612795531e-54
+        exps = []
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def exp(self, w):
+                exps.append(w)
+                return math.exp(w)
+
+        monkeypatch.setattr(numerics, "math", CountingMath())
+        w = lambert_w(x, -1)
+        assert len(exps) <= 8  # one exp per Halley iteration
+        exact = float(mpmath.lambertw(mpmath.mpf(x), -1).real)
+        assert abs(w - exact) <= 2.0 * math.ulp(exact)
+
+
 def positive(t):
     return 1.0
 
@@ -145,74 +172,139 @@ def tent(center, half_width):
     return lambda t: half_width - abs(t - center)
 
 
-def gated(f, lo, hi, margin):
-    """(objective, lo, hi, margin) with the objective inf where the margin
-    is not positive, as minimize_scalar requires."""
-    return (lambda t: f(t) if margin(t) > 0.0 else math.inf), lo, hi, margin
+def gated(objective, lo, hi, margin):
+    """(f, lo, hi, margin, slope) from objective = (f, slope), with f inf
+    where the margin is not positive, as minimize_scalar requires."""
+    f, slope = objective
+    return (lambda t: f(t) if margin(t) > 0.0 else math.inf), lo, hi, margin, slope
+
+
+def parabola(center):
+    """(t - center)^2 and its slope, as minimize_scalar takes it."""
+    return (lambda t: (t - center) ** 2), (lambda t, ft: 2.0 * (t - center))
+
+
+def line(s):
+    """s t and its slope."""
+    return (lambda t: s * t), (lambda t, ft: s)
 
 
 # unimodal objectives on margins with one peak
 SCAN_CASES = {
-    "interior": gated(lambda t: (t - 0.3) ** 2 + 1.0, 0.0, 1.0, positive),
-    "run_inside_range": gated(lambda t: (t - 0.55) ** 2, 0.0, 1.0, tent(0.5, 0.3)),
-    "least_at_run_start": gated(lambda t: t, 0.0, 1.0, tent(0.6, 0.25)),
-    "least_at_run_end": gated(lambda t: -t, 0.0, 1.0, tent(0.6, 0.25)),
-    "least_at_range_end": gated(lambda t: 5.0 - t, 2.0, 5.0, tent(5.0, 1.5)),
+    "interior": gated(parabola(0.3), 0.0, 1.0, positive),
+    "run_inside_range": gated(parabola(0.55), 0.0, 1.0, tent(0.5, 0.3)),
+    "least_at_run_start": gated(line(1.0), 0.0, 1.0, tent(0.6, 0.25)),
+    "least_at_run_end": gated(line(-1.0), 0.0, 1.0, tent(0.6, 0.25)),
+    "least_at_range_end": gated(line(-1.0), 2.0, 5.0, tent(5.0, 1.5)),
     # +inf margin plateau (the local share alone meets the target), then
     # -inf past a stability limit
     "infinite_margins": gated(
-        lambda t: (t - 0.45) ** 2,
+        parabola(0.45),
         0.0,
         1.0,
         lambda t: math.inf if t < 0.4 else (0.8 - t if t < 0.9 else -math.inf),
     ),
     # a flat bottom of about 20 lattice points: the first of them wins
-    "flat_bottom": gated(lambda t: max(abs(t - 0.5), 0.01), 0.0, 1.0, positive),
+    "flat_bottom": gated(
+        (
+            lambda t: max(abs(t - 0.5), 0.01),
+            lambda t, ft: 0.0 if abs(t - 0.5) < 0.01 else math.copysign(1.0, t - 0.5),
+        ),
+        0.0,
+        1.0,
+        positive,
+    ),
     # the objective is non-finite where the margin is not positive
     "nan_outside_run": (
-        lambda t: float("nan") if t < 0.5 else (t - 0.7) ** 2, 0.0, 1.0, lambda t: t - 0.5,
+        lambda t: float("nan") if t < 0.5 else (t - 0.7) ** 2,
+        0.0,
+        1.0,
+        lambda t: t - 0.5,
+        parabola(0.7)[1],
     ),
-    "single_point_run": gated(lambda t: t, 0.0, 1.0, tent(512 / 1023, 1e-4)),
+    "single_point_run": gated(line(1.0), 0.0, 1.0, tent(512 / 1023, 1e-4)),
     # the least f lies far from the margin peak, near an end of the run:
     # the search ranks off-run indices there against on-run ones
-    "peak_right_of_minimum": gated(lambda t: (t - 0.35) ** 2, 0.0, 1.0, tent(0.8, 0.5)),
-    "peak_left_of_minimum": gated(lambda t: (t - 0.9) ** 2, 0.0, 1.0, tent(0.2, 0.75)),
+    "peak_right_of_minimum": gated(parabola(0.35), 0.0, 1.0, tent(0.8, 0.5)),
+    "peak_left_of_minimum": gated(parabola(0.9), 0.0, 1.0, tent(0.2, 0.75)),
+    # the least f lies inside a cell that the run's end cuts: the bracket
+    # stops at the end, found by bisection on the margin
+    "minimum_next_to_run_start": gated(parabola(0.30015), 0.0, 1.0, tent(0.6, 0.2999)),
+    # f falls all the way to the run's end, inside the last cell
+    "falling_into_run_end": gated(line(-1.0), 0.0, 1.0, tent(0.6, 0.2004)),
 }
 
 
+def counted(f, margin):
+    """f, plus a list of the points where it was called on a margin <= 0."""
+    outside = []
+
+    def g(t):
+        if not margin(t) > 0.0:
+            outside.append(t)
+        return f(t)
+
+    return g, outside
+
+
 class TestMinimizeScalar:
-    """The bracketed lattice search against the dense scan it replaced."""
+    """The bracketed lattice search and slope root against the dense scan
+    it replaced: the same lattice argmin, and a point no worse."""
 
     @pytest.mark.parametrize("case", sorted(SCAN_CASES))
-    def test_matches_dense_scan(self, case):
-        f, lo, hi, margin = SCAN_CASES[case]
-        assert repr(minimize_scalar(f, lo, hi, margin)) == repr(dense_scan_minimize(f, lo, hi))
+    def test_matches_dense_scan(self, case, monkeypatch):
+        f, lo, hi, margin, slope = SCAN_CASES[case]
+        argmins = []
+
+        def recording(key, n):
+            argmins.append(numerics_lattice_argmin(key, n))
+            return argmins[-1]
+
+        monkeypatch.setattr(numerics, "_lattice_argmin", recording)
+        probe, outside = counted(f, margin)
+        x, fx = minimize_scalar(probe, lo, hi, margin, slope)
+        assert outside == []  # f is never asked where the margin rules it out
+        best_i, ref_x, ref_fx = dense_scan_search(f, lo, hi)
+        assert argmins == [best_i]
+        if ref_x in (lo, hi):
+            assert repr((x, fx)) == repr((ref_x, ref_fx))
+        # no worse, up to what the final bracket of 1e-9 leaves open
+        assert fx <= ref_fx + 1e-9 * abs(slope(x, fx)) + 1e-12 * max(abs(ref_fx), 1.0)
+        assert fx == f(x)
 
     def test_quadratic_interior(self):
-        x, fx = minimize_scalar(lambda t: (t - 0.3) ** 2 + 1.0, 0.0, 1.0, positive)
-        assert abs(x - 0.3) < 1e-7
-        assert abs(fx - 1.0) < 1e-13
+        x, fx = minimize_scalar(
+            lambda t: (t - 0.3) ** 2 + 1.0, 0.0, 1.0, positive, parabola(0.3)[1]
+        )
+        assert abs(x - 0.3) <= 1e-9
+        assert abs(fx - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("center", [0.30015, 0.7123456789])
+    def test_lands_on_the_slope_root(self, center):
+        f, df = parabola(center)
+        x, _ = minimize_scalar(f, 0.0, 1.0, positive, df)
+        assert abs(x - center) <= 1e-9
 
     def test_boundary_minimum(self):
-        x, fx = minimize_scalar(lambda t: t, 2.0, 5.0, positive)
-        assert abs(x - 2.0) < 1e-6
-        assert fx == pytest.approx(2.0, abs=1e-6)
+        f, df = line(1.0)
+        x, fx = minimize_scalar(f, 2.0, 5.0, positive, df)
+        assert (x, fx) == (2.0, 2.0)
 
     def test_partial_nan_objective(self):
         # nan where the margin is not positive; the valley right of it wins
         def f(t):
             return float("nan") if t < 0.5 else (t - 0.7) ** 2
 
-        x, _ = minimize_scalar(f, 0.0, 1.0, lambda t: t - 0.5)
-        assert abs(x - 0.7) < 1e-6
+        x, _ = minimize_scalar(f, 0.0, 1.0, lambda t: t - 0.5, parabola(0.7)[1])
+        assert abs(x - 0.7) < 1e-9
 
     def test_all_non_finite_raises(self):
         with pytest.raises(ValueError):
-            minimize_scalar(lambda t: float("inf"), 0.0, 1.0, lambda t: -1.0)
+            minimize_scalar(lambda t: float("inf"), 0.0, 1.0, lambda t: -1.0, line(0.0)[1])
 
     def test_non_finite_objective_on_the_run_raises(self):
         with pytest.raises(ValueError):
-            minimize_scalar(lambda t: float("inf"), 0.0, 1.0, positive)
+            minimize_scalar(lambda t: float("inf"), 0.0, 1.0, positive, line(0.0)[1])
 
     def test_probes_logarithmically(self):
         calls = {"f": 0, "margin": 0}
@@ -225,35 +317,78 @@ class TestMinimizeScalar:
             calls["margin"] += 1
             return 0.3 - abs(t - 0.5)
 
-        minimize_scalar(f, 0.0, 1.0, margin)
+        minimize_scalar(f, 0.0, 1.0, margin, parabola(0.55)[1])
         # a scan probes all 1,024 points, one Fibonacci pass 15 of them; the
-        # golden section adds about 27 f calls
+        # slope of a parabola is linear, so false position needs one probe
         assert calls["margin"] <= 20
-        assert calls["f"] <= 60
+        assert calls["f"] <= 20
+
+    def test_end_of_the_range_costs_no_probe(self):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return 2.0 - t
+
+        x, fx = minimize_scalar(f, 0.0, 1.0, positive, line(-1.0)[1])
+        assert (x, fx) == (1.0, 1.0)
+        # only the Fibonacci pass's probes: the slope at 1 points out
+        assert len(calls) == len(set(calls)) <= 16
 
     def test_window_narrower_than_a_cell(self):
         # the lattice points are i/1023: none lies within 1e-4 of 0.5
-        f, lo, hi, margin = gated(lambda t: (t - 0.50005) ** 2, 0.0, 1.0, tent(0.5, 1e-4))
-        x, _ = minimize_scalar(f, lo, hi, margin)
-        assert x == pytest.approx(0.50005, abs=1e-7)
+        f, lo, hi, margin, slope = gated(parabola(0.50005), 0.0, 1.0, tent(0.5, 1e-4))
+        probe, outside = counted(f, margin)
+        x, _ = minimize_scalar(probe, lo, hi, margin, slope)
+        assert x == pytest.approx(0.50005, abs=1e-9)
+        assert outside == []
         with pytest.raises(ValueError):
             dense_scan_minimize(f, lo, hi)
 
     def test_window_that_never_opens_raises(self):
+        f, df = line(1.0)
         with pytest.raises(ValueError):
-            minimize_scalar(lambda t: t, 0.0, 1.0, lambda t: -1e-9 - abs(t - 0.5))
+            minimize_scalar(f, 0.0, 1.0, lambda t: -1e-9 - abs(t - 0.5), df)
 
     def test_deterministic(self):
         def f(t):
             return math.cosh(t - 1.7) + 0.1 * t
 
-        a = minimize_scalar(f, 0.0, 3.0, positive)
-        b = minimize_scalar(f, 0.0, 3.0, positive)
+        def df(t, ft):
+            return math.sinh(t - 1.7) + 0.1
+
+        a = minimize_scalar(f, 0.0, 3.0, positive, df)
+        b = minimize_scalar(f, 0.0, 3.0, positive, df)
         assert a == b
+        assert abs(a[0] - (1.7 - math.asinh(0.1))) <= 1e-9
 
     def test_bad_bracket(self):
+        f, df = line(1.0)
         with pytest.raises(ValueError):
-            minimize_scalar(lambda t: t, 1.0, 1.0, positive)
+            minimize_scalar(f, 1.0, 1.0, positive, df)
+
+
+class TestFalsePosition:
+    def test_brackets_the_root_below_the_tolerance(self):
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            return math.expm1(t) - 0.5
+
+        a, b = numerics._false_position(g, 0.0, g(0.0), 1.0, g(1.0))
+        root = math.log1p(0.5)
+        assert abs(b - a) <= 1e-9 and min(a, b) <= root <= max(a, b)
+        # Illinois halving keeps both ends moving: superlinear, not one-sided
+        assert len(calls) <= 12
+
+    def test_one_huge_end(self):
+        # a slope that blows up at the run's end, as the rate's does
+        def g(t):
+            return -1.0 / (1.0 - t) ** 2 + 4.0
+
+        a, b = numerics._false_position(g, 0.0, g(0.0), 1.0 - 1e-9, g(1.0 - 1e-9))
+        assert min(a, b) <= 0.5 <= max(a, b) and abs(b - a) <= 1e-9
 
 
 class TestFindRoot:

@@ -1,8 +1,9 @@
 """Planner: per-user share minimization, carrier matching, plan assembly.
 
-The share minimizer is checked bit for bit against the dense lattice scan
-it replaced (dense_scan.py) and against a finer grid scan of the same
-objective; carrier matching and the exact assignment solver behind
+The share minimizer is checked against the dense lattice scan it replaced
+(dense_scan.py: the same lattice argmin bit for bit, and a share no worse),
+against a finer grid scan of the same objective, and against a 60-digit
+mpmath root of the outage's share derivative; carrier matching and the exact assignment solver behind
 brute_force_assignment against explicit enumeration of all injective
 assignments (kept here as a test-local reference) and against scipy.
 """
@@ -19,7 +20,8 @@ from scipy.optimize import linear_sum_assignment
 from scipy.optimize import minimize_scalar as scipy_minimize_scalar
 
 import thzplanner as tp
-from dense_scan import share_search_outcome
+from dense_scan import assert_share_search_gate, share_search_outcome
+from exact_outage import outage_slope_root
 from thzplanner import optimizer
 from thzplanner import (
     FEASIBLE,
@@ -169,9 +171,7 @@ class TestMinimizeRateThreshold:
     def test_matches_lattice_scan_on_generated_users(self):
         kinds = Counter()
         for scenario in generated_users(seed=14, count=2000):
-            outcome = share_search_outcome(scenario, 0)
-            assert repr(outcome) == repr(share_search_outcome(scenario, 0, dense=True)), scenario
-            kinds[outcome_kind(outcome)] += 1
+            kinds[outcome_kind(assert_share_search_gate(scenario, 0))] += 1
         assert set(kinds) == {"infeasible", "unconstrained", "full offload", "interior"}, kinds
 
     def test_narrow_feasible_window(self):
@@ -211,12 +211,13 @@ class TestMinimizeRateThreshold:
         cases = [(REF, k) for k in range(len(REF.users))]
         cases += [(sc, 0) for sc in generated_users(seed=15, count=100)]
         for scenario, k in cases:
-            outcome = share_search_outcome(scenario, k)
-            assert repr(outcome) == repr(share_search_outcome(scenario, k, dense=True))
-            kinds[outcome_kind(outcome)] += 1
+            kinds[outcome_kind(assert_share_search_gate(scenario, k))] += 1
         assert kinds["planted"] and kinds["full offload"] and kinds["interior"]
 
     def test_reference_plan_rarely_calls_the_closed_form(self, monkeypatch):
+        """The exact closed-form count of the share search on reference_k10,
+        none raising.  The dense scan made 10,506 calls (8,370 raised), the
+        bracketed lattice search with golden section 326 (1 raised)."""
         counts = Counter()
 
         def counting(*args):
@@ -228,10 +229,44 @@ class TestMinimizeRateThreshold:
                 raise
 
         monkeypatch.setattr(optimizer, "rate_threshold", counting)
-        plan(REF)
-        # the dense scan made 10,506 calls, 8,370 of which raised
-        assert counts["calls"] < 1000
-        assert counts["raised"] <= 0.01 * counts["calls"]
+        for k in range(len(REF.users)):
+            minimize_rate_threshold(REF, k)
+        assert counts == Counter(calls=71)
+
+    def test_no_probe_raises_on_generated_users(self, monkeypatch):
+        """The share search calls the closed form only where the margin
+        says it has a root: never past the feasible run's ends."""
+        counts = Counter()
+
+        def counting(*args):
+            counts["calls"] += 1
+            try:
+                return rate_threshold(*args)
+            except ValueError:
+                counts["raised"] += 1
+                raise
+
+        monkeypatch.setattr(optimizer, "rate_threshold", counting)
+        kinds = Counter(
+            outcome_kind(share_search_outcome(sc, 0))
+            for sc in generated_users(seed=16, count=1000)
+        )
+        assert counts["calls"] > 0 and counts["raised"] == 0
+        assert kinds["infeasible"] and kinds["interior"] and kinds["full offload"], kinds
+
+    def test_interior_shares_sit_on_the_slope_root(self):
+        """Each interior share lies within 1e-9 of the 60-digit share where
+        dM/dbeta, taken along R*(beta), vanishes."""
+        interior = (
+            sc for sc in generated_users(seed=17, count=1000)
+            if outcome_kind(share_search_outcome(sc, 0)) == "interior"
+        )
+        cases = [(REF, k) for k in (7, 8, 9)] + [(sc, 0) for sc in itertools.islice(interior, 30)]
+        assert len(cases) == 33
+        for sc, k in cases:
+            beta, rate = minimize_rate_threshold(sc, k)
+            root = outage_slope_root(sc.users[k], sc.task, sc.edge, sc.qos, beta, rate)
+            assert abs(beta - float(root)) <= 1e-9, (sc, k)
 
     def test_matches_dense_grid_scan(self):
         # user 8 has an interior optimum; 20001-point scan brackets it

@@ -14,7 +14,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import thzplanner as tp
-from dense_scan import lattice, share_search_outcome
+from dense_scan import assert_share_search_gate, lattice
+from exact_outage import exact_rate, exact_rate_slope, floor_rate
 from thzplanner import (
     DEFAULT_ATTENUATION_FIT,
     EdgeProfile,
@@ -30,6 +31,7 @@ from thzplanner import (
     lambert_w,
     min_stable_share,
     minimize_rate_threshold,
+    rate_slope,
     rate_threshold,
     rate_threshold_oracle,
     simulate_user,
@@ -81,6 +83,47 @@ def test_rate_threshold_matches_oracle(bits, cycles, lam, f_l, f_m, eps, miss, b
         return
     closed = rate_threshold(*args)
     assert abs(closed - ref) <= 1e-6 * ref
+
+
+# rate_slope against the derivative of the 60-digit R*: the closed-form
+# rate it is given holds to about 1e-9 at 1 - theta = 1e-9
+SLOPE_RTOL = 1e-7
+
+
+@FIXED
+@given(
+    bits=log_uniform(1e3, 1e9),
+    cycles=log_uniform(1e5, 1e9),
+    lam=log_uniform(1e-2, 1e4),
+    f_l=log_uniform(1e6, 1e11),
+    f_m=log_uniform(1e7, 1e16),
+    eps=log_uniform(1e-5, 10.0),
+    miss=log_uniform(1e-9, 0.99),
+    beta=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+)
+def test_rate_slope_matches_mpmath(bits, cycles, lam, f_l, f_m, eps, miss, beta):
+    """rate_slope at the closed form's rate is mpmath's derivative of the
+    60-digit R*(beta), on the root and on the stability floor alike."""
+    args = (
+        UserProfile(arrival_rate=lam, local_cpu_hz=f_l),
+        TaskProfile(mean_job_bits=bits, mean_job_cycles=cycles),
+        EdgeProfile(cpu_hz=f_m),
+        QosTarget(delay_s=eps, min_reliability=1.0 - miss),
+    )
+    try:
+        rate = rate_threshold(*args, beta)
+    except (StabilityError, InfeasibleError):
+        return
+    assume(math.isfinite(rate))
+    exact = exact_rate(*args, beta, rate)
+    # next to the kink where the root crosses the floor the two can differ
+    # on which side they are
+    on_floor = rate <= beta * lam * bits * (1.0 + tp.reliability.STABILITY_MARGIN)
+    assume(on_floor == (exact == floor_rate(args[0], args[1], beta)))
+    slope = rate_slope(*args, beta, rate)
+    exact = float(exact_rate_slope(*args, beta, rate))
+    # near an optimum the slope cancels: there it holds on the rate's scale
+    assert slope == pytest.approx(exact, rel=SLOPE_RTOL, abs=SLOPE_RTOL * rate)
 
 
 def mpmath_rate_threshold(user, task, edge, qos, beta):
@@ -304,11 +347,10 @@ def share_search_examples(test):
 @given(**SHARE_SEARCH_CASES)
 @share_search_examples
 def test_share_search_matches_dense_scan(bits, cycles, lam, f_l, f_m, eps, miss):
-    """Same (beta, rate) bits as the dense lattice scan, or infeasible for both."""
+    """The dense lattice scan's lattice argmin and verdict, its bytes at
+    full offload, and elsewhere a share no worse by the bisection oracle."""
     scenario = share_search_scenario(bits, cycles, lam, f_l, f_m, eps, miss)
-    assert repr(share_search_outcome(scenario, 0)) == repr(
-        share_search_outcome(scenario, 0, dense=True)
-    )
+    assert_share_search_gate(scenario, 0)
 
 
 def _turns(values):

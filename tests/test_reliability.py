@@ -3,7 +3,8 @@
 edge_reliability is cross-checked against scipy adaptive quadrature of the
 two-stage sojourn convolution; rate_threshold against plain bisection on
 system_reliability (rate_threshold_oracle), which shares no code with the
-Lambert W route.
+Lambert W route; rate_slope against mpmath's derivative of the 60-digit
+rate threshold (exact_outage.py).
 """
 
 import math
@@ -22,11 +23,13 @@ from thzplanner import (
     edge_reliability,
     local_reliability,
     queue_rates,
+    rate_slope,
     rate_threshold,
     rate_threshold_oracle,
     system_reliability,
 )
 from thzplanner import reliability
+from exact_outage import exact_rate_slope, outage
 
 TASK = TaskProfile(mean_job_bits=8.0e6, mean_job_cycles=1.0e7)
 
@@ -333,6 +336,79 @@ class TestRateThreshold:
             for t in (0.9, 0.99, 0.999, 0.9999)
         ]
         assert all(b > a for a, b in zip(rates, rates[1:]))
+
+
+def exact_slope(user, edge, qos, beta, rate):
+    return float(exact_rate_slope(user, TASK, edge, qos, beta, rate))
+
+
+class TestRateSlope:
+    """rate_slope against mpmath's derivative of the 60-digit R*(beta)."""
+
+    USER = UserProfile(arrival_rate=19.0, local_cpu_hz=1.45e9)
+    EDGE = EdgeProfile(cpu_hz=2.0e10)
+    QOS = QosTarget(delay_s=0.08, min_reliability=0.99999)
+
+    @pytest.mark.parametrize("beta", [0.7, 0.745, 0.8, 0.9, 1.0])
+    def test_matches_mpmath(self, beta):
+        r = rate_threshold(self.USER, TASK, self.EDGE, self.QOS, beta)
+        slope = rate_slope(self.USER, TASK, self.EDGE, self.QOS, beta, r)
+        # near the optimum (beta = 0.745) the slope cancels, and the rate's
+        # own last digits move it: compare on the scale of the rate too
+        exact = exact_slope(self.USER, self.EDGE, self.QOS, beta, r)
+        assert slope == pytest.approx(exact, rel=1e-9, abs=1e-9 * r)
+
+    def test_full_offload_slope_sign(self):
+        # a user with almost no local CPU: the rate falls all the way to 1
+        user = UserProfile(arrival_rate=10.0, local_cpu_hz=1.0e6)
+        r = rate_threshold(user, TASK, self.EDGE, self.QOS, 1.0)
+        slope = rate_slope(user, TASK, self.EDGE, self.QOS, 1.0, r)
+        assert slope < 0.0
+        assert slope == pytest.approx(exact_slope(user, self.EDGE, self.QOS, 1.0, r), rel=1e-9)
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-9, 1e-6, 0.05, -0.05])
+    def test_equal_net_rates(self, gap):
+        """u = v exactly (x = 0 in the series), inside and just past the
+        relative band where _edge_tail takes the u = v limit, and where
+        the series hands over to the closed form.  The target is set so
+        that R*(beta) = mu_m L_a (1 + gap), which puts u - v at about
+        gap mu_m.  The edge (mu_m = 140 jobs/s, v eps = 10) leaves an edge
+        outage of about 5e-4, well above the local one."""
+        beta = 0.8
+        edge = EdgeProfile(cpu_hz=1.4e9)
+        mu_m = edge.service_rate(TASK)
+        rate = mu_m * TASK.mean_job_bits * (1.0 + gap)
+        miss = float(outage(self.USER, TASK, edge, self.QOS, beta, rate))
+        qos = QosTarget(delay_s=self.QOS.delay_s, min_reliability=1.0 - miss)
+        rates = queue_rates(self.USER, TASK, edge, beta, rate)
+        assert abs(rates.u - rates.v) <= abs(gap) * 1.01 * mu_m
+        slope = rate_slope(self.USER, TASK, edge, qos, beta, rate)
+        assert slope == pytest.approx(exact_slope(self.USER, edge, qos, beta, rate), rel=1e-9)
+
+    def test_floor_when_local_share_suffices(self):
+        user = UserProfile(arrival_rate=5.0, local_cpu_hz=2.0e9)
+        qos = QosTarget(delay_s=0.08, min_reliability=0.9)
+        beta = 0.01
+        r = rate_threshold(user, TASK, self.EDGE, qos, beta)
+        floor_slope = user.arrival_rate * TASK.mean_job_bits * (1.0 + reliability.STABILITY_MARGIN)
+        assert rate_slope(user, TASK, self.EDGE, qos, beta, r) == floor_slope
+        assert floor_slope == pytest.approx(exact_slope(user, self.EDGE, qos, beta, r), rel=1e-12)
+
+    def test_floor_above_the_root(self):
+        # the local share leaves 1e-9 of theta to the edge, less than the
+        # edge delivers at the floor rate (about u eps = 2e-8): the Lambert
+        # W root lies below the stability floor, and the floor binds
+        user = UserProfile(arrival_rate=5.0, local_cpu_hz=2.0e9)
+        beta = 0.05
+        phi_l = local_reliability(user, TASK, beta, 0.08)
+        qos = QosTarget(delay_s=0.08, min_reliability=(1.0 - beta) * phi_l + beta * 1e-9)
+        _, _, floor, target = reliability._edge_target(user, TASK, self.EDGE, qos, beta)
+        assert 0.0 < target  # the root is solved for, then clamped
+        r = rate_threshold(user, TASK, self.EDGE, qos, beta)
+        assert r == floor
+        floor_slope = user.arrival_rate * TASK.mean_job_bits * (1.0 + reliability.STABILITY_MARGIN)
+        assert rate_slope(user, TASK, self.EDGE, qos, beta, r) == floor_slope
+        assert floor_slope == pytest.approx(exact_slope(user, self.EDGE, qos, beta, r), rel=1e-12)
 
 
 class TestOracle:
