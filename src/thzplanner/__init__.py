@@ -54,6 +54,8 @@ from .reliability import (
     TaskProfile,
     UserProfile,
     ceiling_margin,
+    ceiling_margin_slope,
+    ceiling_outage_slope,
     edge_reliability,
     local_reliability,
     min_stable_share,

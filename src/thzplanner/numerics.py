@@ -1,8 +1,10 @@
 """Numerical kernels: Lambert W, bracketed minimization, bisection, assignment.
 
-The minimizer finds a lattice argmin by Fibonacci search and then solves
-for the root of the objective's slope by Illinois false position: a root
-of the slope is well conditioned where the flat minimum itself is not.
+The minimizer scans nothing.  It finds a feasible point at the root of
+the margin's slope, the feasible run's ends as roots of the margin, and
+the minimum as the root of the objective's slope: a root of the slope is
+well conditioned where the flat minimum itself is not.  One safeguarded
+Illinois false position finds all three roots.
 
 Everything here is dependency-free on purpose.  The planner inverts its
 link-budget and queueing expressions through these routines, and keeping
@@ -19,13 +21,9 @@ from typing import Callable, Sequence, Tuple
 _E = math.e
 _INV_E = math.exp(-1.0)
 _MAX_HALLEY_ITER = 64
-# minimize_scalar: lattice points, margin-peak bracket width, slope-root
-# bracket width, false-position step cap
-_LATTICE_POINTS = 1024
-_MINIMIZE_TOL = 1e-8
+# false position: bracket width it stops at, step cap
 _ROOT_TOL = 1e-9
 _MAX_FALSE_POSITION_ITER = 200
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 
 
 def _halley_w(x: float, w: float) -> float:
@@ -141,57 +139,35 @@ def lambert_w_log(q: float) -> float:
     return _newton_log(q)
 
 
-def _golden(
-    f: Callable[[float], float], a: float, b: float, best_x: float, best_v: float
-) -> Tuple[float, float]:
-    """Golden-section search on [a, b] until it is narrower than _MINIMIZE_TOL.
-
-    Returns the best (x, f(x)) among (best_x, best_v) and the probes made
-    after the first pair; the first pair only steers.
-    """
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = f(c)
-    fd = f(d)
-    for _ in range(512):
-        if (b - a) <= _MINIMIZE_TOL:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-            x, v = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-            x, v = d, fd
-        if v < best_v:
-            best_v, best_x = v, x
-    return best_x, best_v
-
-
 def _false_position(
     g: Callable[[float], float], a: float, ga: float, b: float, gb: float
 ) -> Tuple[float, float]:
-    """Illinois false position (Dowell & Jarratt 1971) on g's sign change.
+    """Safeguarded Illinois false position (Dowell & Jarratt 1971) on g's
+    sign change.
 
-    ga = g(a) and gb = g(b) must be nonzero and of opposite signs.  Each
+    ga = g(a) and gb = g(b) must be of opposite signs, ga nonzero.  Each
     step probes the secant's zero and keeps the end across which g changes
     sign; an end kept twice in a row has its value halved, which stops the
-    one-sided creep of plain false position.  Returns the last bracket, at
-    most _ROOT_TOL wide (or (c, c) at an exact zero c); g was evaluated at
-    both its ends.
+    one-sided creep of plain false position.  A step bisects instead where
+    an end's value is not finite, or where the last two steps did not halve
+    the bracket (next to a pole of g).  Returns the last bracket (a, b), at
+    most _ROOT_TOL wide (or (c, c) at an exact zero c), with g of ga's sign
+    at a; g was evaluated at both ends.
     """
     kept = 0  # 1: b was kept by the last step, -1: a was
+    # the bracket's width two steps ago and one step ago; the start counts
+    # for both, so the first step bisects
+    before = [abs(b - a)] * 2
     for _ in range(_MAX_FALSE_POSITION_ITER):
-        if abs(b - a) <= _ROOT_TOL:
+        width = abs(b - a)
+        if width <= _ROOT_TOL:
             break
         c = b - gb * (b - a) / (gb - ga)
-        if not min(a, b) < c < max(a, b):
-            c = 0.5 * (a + b)  # the secant rounded onto an end
+        if not min(a, b) < c < max(a, b) or width > 0.5 * before[0]:
+            c = 0.5 * (a + b)  # also where the secant is nan or rounds onto an end
             if c in (a, b):
                 break
+        before = [before[1], width]
         gc = g(c)
         if gc == 0.0:
             return c, c
@@ -208,67 +184,36 @@ def _false_position(
     return a, b
 
 
-def _lattice_argmin(key: Callable[[int], Tuple[float, float]], n: int) -> int:
-    """First index of the least key(i) over 0 <= i < n, by Fibonacci search.
-
-    key must fall and then rise; equal keys may sit only at the bottom or
-    on the rise.  Indices past n - 1 rank worst, so the open interval can
-    have a Fibonacci length, and every step after the first probes one new
-    index (key should cache).  Ties go to the lower index.
-    """
-    fib = [1, 2]
-    while fib[-1] <= n:
-        fib.append(fib[-1] + fib[-2])
-    a = -1  # the answer lies in the open interval (a, a + fib[k])
-
-    def at(i: int) -> Tuple[float, float]:
-        return key(i) if i < n else (math.inf, math.inf)
-
-    for k in range(len(fib) - 1, 1, -1):
-        c, d = a + fib[k - 2], a + fib[k - 1]
-        if at(c) > at(d):
-            a = c  # keep (c, a + fib[k]); else keep (a, d)
-    return a + 1
-
-
 def minimize_scalar(
     f: Callable[[float], float],
     lo: float,
     hi: float,
     margin: Callable[[float], float],
     slope: Callable[[float, float], float],
+    margin_slope: Callable[[float], float],
 ) -> Tuple[float, float]:
-    """Minimize f where margin > 0 on [lo, hi]: lattice search, then the root
-    of f's slope.
+    """Minimize f where margin > 0 on [lo, hi] from roots; nothing is scanned.
 
-    f is inf (or nan) where margin(x) <= 0, and may be inf where the
-    margin is positive but small; elsewhere it is finite.  slope(x, f(x))
-    is f's derivative at x, asked for only where f(x) is finite; only its
-    sign and its zero matter.  On the lattice of _LATTICE_POINTS evenly
-    spaced points the margin must have a single peak, and f no interior
-    local maximum on the run where the margin is positive.  Then:
+    margin_slope is the margin's derivative, or anything of its sign: > 0
+    left of the margin's single peak, < 0 right of it, and 0 or either sign
+    on a peak plateau.  So the margin is positive on one run.  f is inf (or
+    nan) where margin(x) <= 0, may be inf where the margin is positive but
+    small, and has no interior local maximum on the run.  slope(x, f(x)) is
+    f's derivative, asked for only where f(x) is finite; only its sign and
+    its zero matter.  Then:
 
-    1. one Fibonacci search of the whole lattice finds the first least key,
-       (f, 0) where the margin is positive and f finite and (inf, -margin)
-       elsewhere: the key falls towards the run from either side, and f is
-       never evaluated where the margin is not positive;
-    2. the slope at that point says on which side f falls.  If that side
-       is past lo or hi, the point is the minimum.  Otherwise the side's
-       neighbour bounds a bracket; where the run ends inside that cell, the
-       bracket ends at the run's last point, found by bisection (to
-       _ROOT_TOL) on the margin and f's finiteness;
-    3. where the slope changes sign across the bracket, Illinois false
-       position narrows it below _ROOT_TOL, and the end with the smaller
-       slope is the minimum.  Where it does not, f falls all the way to
-       the bracket's end, and the lower of the two points wins.
+    1. hi is the minimum where f is finite there and falls (slope <= 0);
+    2. a run point where f is finite: hi, lo, or else the margin's peak;
+    3. the run's ends: lo or hi where their margin is positive, else the
+       margin's root between them and the run point, moved (by bisection)
+       to the last point towards them where f is finite;
+    4. an end if f rises from it (a) or falls into it (b), else the root of
+       f's slope: the end of its last bracket with the smaller slope.
 
-    f is therefore never evaluated where the margin is not positive.  When
-    no lattice point has a positive margin, the argmin is the margin's
-    lattice peak: the margin is maximized on its two cells by golden
-    section (margin probes only), and if the maximum clears 0, steps 2-3
-    run from there.  Returns (x, f(x)) for a point actually evaluated, so
-    the reported value is exact.  Raises ValueError when f is non-finite
-    everywhere.  Deterministic for identical inputs.
+    Each root is one _false_position, to _ROOT_TOL.  f is never evaluated
+    where the margin is not positive.  Returns (x, f(x)) for a point
+    actually evaluated, so the value is exact.  Raises ValueError when no
+    point has a positive margin and a finite f.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
@@ -280,67 +225,52 @@ def minimize_scalar(
         return v if v == v else math.inf
 
     @functools.cache
-    def room_of(x: float) -> float:
-        g = margin(x)
-        return g if g == g else -math.inf
-
-    n = _LATTICE_POINTS
-    step = (hi - lo) / (n - 1)
-
-    def point(i: int) -> float:
-        return lo + i * step if i < n - 1 else hi
-
-    def rank(i: int) -> Tuple[float, float]:
-        room = room_of(point(i))
-        v = value_of(point(i)) if room > 0.0 else math.inf
-        return (v, 0.0) if v < math.inf else (v, -room)
-
-    def usable(x: float) -> bool:
-        return room_of(x) > 0.0 and value_of(x) < math.inf
-
-    @functools.cache
     def slope_at(x: float) -> float:
         return slope(x, value_of(x))
 
-    def descend(x: float, a: float, b: float) -> Tuple[float, float]:
-        """Steps 2-3 from the point x of the cells [a, b]."""
-        if not usable(x):
-            return x, value_of(x)
-        s = slope_at(x)
-        end = b if s < 0.0 else a
-        if s == 0.0 or end == x:
-            return x, value_of(x)
-        inside = x
-        while not usable(end) and abs(end - inside) > _ROOT_TOL:
-            mid = 0.5 * (inside + end)
-            if mid in (inside, end):
+    margin_at = functools.cache(margin)
+
+    def usable(x: float) -> bool:
+        return margin_at(x) > 0.0 and value_of(x) < math.inf
+
+    def room(x: float) -> float:
+        """The margin, with a zero margin (outside the run) as -inf."""
+        return margin_at(x) or -math.inf
+
+    if usable(hi) and slope_at(hi) <= 0.0:
+        return hi, value_of(hi)
+    inside = next((x for x in (hi, lo) if usable(x)), None)
+    if inside is None:
+        s_lo, s_hi = margin_slope(lo), margin_slope(hi)
+        if s_lo > 0.0 > s_hi:
+            peak = _false_position(margin_slope, lo, s_lo, hi, s_hi)
+            inside = min(peak, key=lambda x: abs(margin_slope(x)))
+        if inside is None or not usable(inside):
+            raise ValueError("no point has a positive margin and a finite objective")
+
+    def run_end(end: float) -> float:
+        """The run's last point towards end where f is finite."""
+        if margin_at(end) <= 0.0:
+            end = _false_position(room, inside, room(inside), end, room(end))[0]
+        last = inside
+        while not usable(end) and abs(end - last) > _ROOT_TOL:
+            mid = 0.5 * (last + end)
+            if mid in (last, end):
                 break
             if usable(mid):
-                inside = mid
+                last = mid
             else:
                 end = mid
-        if not usable(end):
-            end = inside
-        s_end = slope_at(end)
-        if s_end == 0.0 or (s_end < 0.0) == (s < 0.0):
-            # no sign change: f falls all the way to the run's end
-            return min((end, value_of(end)), (x, value_of(x)), key=lambda p: p[1])
-        root = min(_false_position(slope_at, x, s, end, s_end), key=lambda e: abs(slope_at(e)))
-        return root, value_of(root)
+        return end if usable(end) else last
 
-    best_i = _lattice_argmin(rank, n)
-    a = point(best_i - 1) if best_i > 0 else lo
-    b = point(best_i + 1) if best_i < n - 1 else hi
-    if room_of(point(best_i)) <= 0.0:
-        # best_i is the margin's lattice peak, and any window where the
-        # margin clears 0 lies in the peak's two cells
-        x_top, low = _golden(lambda x: -room_of(x), a, b, point(best_i), -room_of(point(best_i)))
-        if not low < 0.0:
-            raise ValueError("margin is nowhere positive")
-        return descend(x_top, a, b)
-    if not value_of(point(best_i)) < math.inf:
-        raise ValueError("objective is non-finite everywhere on the feasible run")
-    return descend(point(best_i), a, b)
+    a, b = run_end(lo), run_end(hi)
+    s_a, s_b = slope_at(a), slope_at(b)
+    if s_a >= 0.0:
+        return a, value_of(a)
+    if s_b <= 0.0:
+        return b, value_of(b)
+    x = min(_false_position(slope_at, a, s_a, b, s_b), key=lambda e: abs(slope_at(e)))
+    return x, value_of(x)
 
 
 def find_root(

@@ -32,6 +32,7 @@ from .reliability import (
     TaskProfile,
     UserProfile,
     ceiling_margin,
+    ceiling_margin_slope,
     local_reliability,
     min_stable_share,
     rate_slope,
@@ -100,9 +101,10 @@ def minimize_rate_threshold(scenario: Scenario, user_index: int) -> Tuple[float,
     Returns (beta, rate).  (0.0, 0.0) means the user needs no link at all:
     keeping every job local already meets the reliability target.  The
     search (numerics.minimize_scalar) runs over the stable shares, where
-    ceiling_margin tells the feasible ones without raising, so the closed
-    form is evaluated only on and next to the feasible run.  Raises
-    InfeasibleError when no share in the stable range works.
+    ceiling_margin tells the feasible ones without raising and
+    ceiling_margin_slope points to its peak, so the closed form is
+    evaluated only on the feasible run.  Raises InfeasibleError when no
+    share in the stable range works.
     """
     user = scenario.users[user_index]
     task, edge, qos = scenario.task, scenario.edge, scenario.qos
@@ -129,8 +131,11 @@ def minimize_rate_threshold(scenario: Scenario, user_index: int) -> Tuple[float,
     def slope(beta: float, rate: float) -> float:
         return rate_slope(user, task, edge, qos, beta, rate)
 
+    def margin_slope(beta: float) -> float:
+        return ceiling_margin_slope(user, task, edge, qos, beta)
+
     try:
-        beta_star, rate_star = minimize_scalar(objective, lo, 1.0, margin, slope)
+        beta_star, rate_star = minimize_scalar(objective, lo, 1.0, margin, slope, margin_slope)
     except ValueError as exc:
         # every share in the stable range is infeasible
         raise InfeasibleError(

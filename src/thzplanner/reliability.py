@@ -304,6 +304,55 @@ def ceiling_margin(
     return _margin(mu_m - offered, edge_target, qos.delay_s)
 
 
+def ceiling_outage_slope(
+    user: UserProfile,
+    task: TaskProfile,
+    edge: EdgeProfile,
+    qos: QosTarget,
+    beta: float,
+) -> float:
+    """Slope of the ceiling outage C = beta e^(-v eps) + (1-beta) e^(-n eps),
+    the outage as R grows without bound (v = mu_m - beta lambda and
+    n = mu_l - (1-beta) lambda):
+
+        C'(beta) = e^(-v eps) (1 + beta lambda eps) - e^(-n eps) (1 + (1-beta) lambda eps)
+
+    Both terms of C are convex, so C' increases.  +inf where the edge queue
+    is unstable (v <= 0), -inf where the local one is (n <= 0).
+    """
+    lam, eps = user.arrival_rate, qos.delay_s
+    v = edge.service_rate(task) - beta * lam
+    n = user.local_service_rate(task) - (1.0 - beta) * lam
+    if v <= 0.0:
+        return math.inf
+    if n <= 0.0:
+        return -math.inf
+    return math.exp(-v * eps) * (1.0 + beta * lam * eps) - math.exp(-n * eps) * (
+        1.0 + (1.0 - beta) * lam * eps
+    )
+
+
+def ceiling_margin_slope(
+    user: UserProfile,
+    task: TaskProfile,
+    edge: EdgeProfile,
+    qos: QosTarget,
+    beta: float,
+) -> float:
+    """d(ceiling_margin)/dbeta = -(C'(beta) + margin) / beta, as the margin
+    is ((1 - theta) - C) / beta.
+
+    Where it vanishes its own slope is -C''/beta < 0, so it changes sign
+    once, at the margin's single peak.  0 on the margin's +inf plateau (the
+    local share alone meets theta), and -C' where a queue is unstable.
+    """
+    margin = ceiling_margin(user, task, edge, qos, beta)
+    if margin == math.inf:
+        return 0.0
+    slope = ceiling_outage_slope(user, task, edge, qos, beta)
+    return -slope if margin == -math.inf else -(slope + margin) / beta
+
+
 def rate_threshold(
     user: UserProfile,
     task: TaskProfile,

@@ -1,12 +1,14 @@
-"""60-digit mpmath reference for the outage and the share search's slope.
+"""60-digit mpmath reference for the outage and the share search's slopes.
 
 The outage M(beta, R) = (1-beta) e^(-n eps) + beta T(u, v), with the
 tandem tail (v e^(-u eps) - u e^(-v eps)) / (v - u) written as
 e^(-v eps) (1 + v eps expm1((v - u) eps) / ((v - u) eps)) so that it keeps
 its digits as u approaches v, evaluated from the exact double inputs.  The rate R*(beta) that meets
 1 - theta is its root in R, found by mpmath's secant solver; its slope is
-mpmath's numerical derivative of that root.  None of this shares code with
-the package.
+mpmath's numerical derivative of that root.  The ceiling outage C(beta) is
+M's limit as R grows without bound, (1-beta) e^(-n eps) + beta e^(-v eps),
+and the ceiling margin ((1 - theta) - C) / beta; their slopes are mpmath's
+numerical derivatives.  None of this shares code with the package.
 """
 
 import mpmath
@@ -28,6 +30,31 @@ def outage(user, task, edge, qos, beta, rate):
     ratio = mpmath.expm1(gap) / gap if gap else 1  # e^(-u eps) = e^(-v eps) e^gap
     tail = mpmath.exp(-v * eps) * (1 + v * eps * ratio)
     return (1 - b) * mpmath.exp(-(mu_l - (1 - b) * lam) * eps) + b * tail
+
+
+def ceiling_outage(user, task, edge, qos, beta):
+    """C(beta) in mpmath; beta may be an mpmath number."""
+    b = mpmath.mpf(beta)
+    lam = mpmath.mpf(user.arrival_rate)
+    mu_l = mpmath.mpf(user.local_cpu_hz) / task.mean_job_cycles
+    mu_m = mpmath.mpf(edge.cpu_hz) / task.mean_job_cycles
+    eps = mpmath.mpf(qos.delay_s)
+    return (1 - b) * mpmath.exp(-(mu_l - (1 - b) * lam) * eps) + b * mpmath.exp(
+        -(mu_m - b * lam) * eps
+    )
+
+
+def ceiling_outage_slope(user, task, edge, qos, beta):
+    """C'(beta), mpmath's derivative of C."""
+    with mpmath.workdps(DIGITS):
+        return mpmath.diff(lambda b: ceiling_outage(user, task, edge, qos, b), beta)
+
+
+def ceiling_margin_slope(user, task, edge, qos, beta):
+    """The slope of the ceiling margin ((1 - theta) - C) / beta."""
+    with mpmath.workdps(DIGITS):
+        miss = 1 - mpmath.mpf(qos.min_reliability)
+        return mpmath.diff(lambda b: (miss - ceiling_outage(user, task, edge, qos, b)) / b, beta)
 
 
 def floor_rate(user, task, beta):

@@ -27,6 +27,8 @@ from thzplanner import (
     UserProfile,
     achievable_distance,
     ceiling_margin,
+    ceiling_margin_slope,
+    ceiling_outage_slope,
     data_rate,
     lambert_w,
     min_stable_share,
@@ -347,10 +349,33 @@ def share_search_examples(test):
 @given(**SHARE_SEARCH_CASES)
 @share_search_examples
 def test_share_search_matches_dense_scan(bits, cycles, lam, f_l, f_m, eps, miss):
-    """The dense lattice scan's lattice argmin and verdict, its bytes at
-    full offload, and elsewhere a share no worse by the bisection oracle."""
+    """The dense lattice scan's verdict, its bytes at full offload, and
+    elsewhere a share no worse by the bisection oracle."""
     scenario = share_search_scenario(bits, cycles, lam, f_l, f_m, eps, miss)
     assert_share_search_gate(scenario, 0)
+
+
+@FIXED
+@given(
+    **SHARE_SEARCH_CASES,
+    shares=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=8),
+)
+def test_ceiling_outage_slope_increases(bits, cycles, lam, f_l, f_m, eps, miss, shares):
+    """C' never falls over the shares where the local queue is stable, and
+    never raises or returns nan: shares past the edge queue's stability
+    limit, and the ulps around it, give +inf."""
+    scenario = share_search_scenario(bits, cycles, lam, f_l, f_m, eps, miss)
+    user, task, edge, qos = scenario.users[0], scenario.task, scenario.edge, scenario.qos
+    limit = edge.service_rate(task) / lam
+    betas = sorted(
+        b
+        for b in shares + [limit, math.nextafter(limit, 0.0), math.nextafter(limit, 2.0)]
+        if min_stable_share(user, task) < b <= 1.0
+    )
+    slopes = [ceiling_outage_slope(user, task, edge, qos, b) for b in betas]
+    assert all(a <= b for a, b in zip(slopes, slopes[1:])), (betas, slopes)
+    for b, s in zip(betas, slopes):
+        assert (s == math.inf) == (edge.service_rate(task) - b * lam <= 0.0)
 
 
 def _turns(values):
@@ -367,10 +392,11 @@ def _turns(values):
 @given(**SHARE_SEARCH_CASES)
 @share_search_examples
 def test_share_search_lattice_structure(bits, cycles, lam, f_l, f_m, eps, miss):
-    """What the bracketed search assumes, on the lattice it searches: the
-    margin has a single peak, the shares with a positive margin form one
-    run, and R has no interior local maximum on that run (so at most one
-    interior local minimum)."""
+    """What the root-based search assumes, on the dense scan's lattice: C'
+    never falls, so the margin's slope changes sign once, from + to -, the
+    margin has a single peak, and the shares with a positive margin form
+    one run; and R has no interior local maximum on that run (so at most
+    one interior local minimum)."""
     scenario = share_search_scenario(bits, cycles, lam, f_l, f_m, eps, miss)
     user, task, edge, qos = scenario.users[0], scenario.task, scenario.edge, scenario.qos
     floor = min_stable_share(user, task)
@@ -378,6 +404,13 @@ def test_share_search_lattice_structure(bits, cycles, lam, f_l, f_m, eps, miss):
     lo = max(floor + 1e-9 * (1.0 - floor), math.nextafter(floor, 1.0))
     assume(lo < 1.0)
     betas = lattice(lo, 1.0)
+    outage_slopes = [ceiling_outage_slope(user, task, edge, qos, b) for b in betas]
+    assert all(a <= b for a, b in zip(outage_slopes, outage_slopes[1:]))
+    signs = [
+        math.copysign(1.0, s) if s else 0.0
+        for s in (ceiling_margin_slope(user, task, edge, qos, b) for b in betas)
+    ]
+    assert all(a >= b for a, b in zip(signs, signs[1:])), signs
     margins = [ceiling_margin(user, task, edge, qos, b) for b in betas]
     assert _turns(margins)[0] == 0
     run = [i for i, m in enumerate(margins) if m > 0.0]

@@ -4,7 +4,9 @@ edge_reliability is cross-checked against scipy adaptive quadrature of the
 two-stage sojourn convolution; rate_threshold against plain bisection on
 system_reliability (rate_threshold_oracle), which shares no code with the
 Lambert W route; rate_slope against mpmath's derivative of the 60-digit
-rate threshold (exact_outage.py).
+rate threshold, and the ceiling outage's and ceiling margin's slopes
+against mpmath's derivatives of the 60-digit ceiling outage
+(exact_outage.py).
 """
 
 import math
@@ -20,6 +22,9 @@ from thzplanner import (
     StabilityError,
     TaskProfile,
     UserProfile,
+    ceiling_margin,
+    ceiling_margin_slope,
+    ceiling_outage_slope,
     edge_reliability,
     local_reliability,
     queue_rates,
@@ -29,6 +34,7 @@ from thzplanner import (
     system_reliability,
 )
 from thzplanner import reliability
+import exact_outage
 from exact_outage import exact_rate_slope, outage
 
 TASK = TaskProfile(mean_job_bits=8.0e6, mean_job_cycles=1.0e7)
@@ -409,6 +415,61 @@ class TestRateSlope:
         floor_slope = user.arrival_rate * TASK.mean_job_bits * (1.0 + reliability.STABILITY_MARGIN)
         assert rate_slope(user, TASK, self.EDGE, qos, beta, r) == floor_slope
         assert floor_slope == pytest.approx(exact_slope(user, self.EDGE, qos, beta, r), rel=1e-12)
+
+
+class TestCeilingSlopes:
+    """C'(beta) and the ceiling margin's slope against mpmath's derivatives
+    of the 60-digit ceiling outage C."""
+
+    CASES = [
+        # an interior-share user, from C's falling side to beta = 1
+        (UserProfile(arrival_rate=19.0, local_cpu_hz=1.45e9), EdgeProfile(cpu_hz=2.0e10), b)
+        for b in (0.25, 0.5, 0.745, 0.9, 1.0)
+    ] + [
+        # lambda = 40, mu_l = 30, mu_m = 60 jobs/s: C is least inside (0, 1),
+        # and the edge is unstable from beta = 1.5 on
+        (UserProfile(arrival_rate=40.0, local_cpu_hz=3.0e8), EdgeProfile(cpu_hz=6.0e8), b)
+        for b in (0.3, 0.6, 0.768, 0.9, 1.0)
+    ]
+    QOS = QosTarget(delay_s=0.08, min_reliability=0.99999)
+
+    @staticmethod
+    def terms(user, edge, beta):
+        """|C'|'s two terms, e^(-v eps) (1 + beta lambda eps) and
+        e^(-n eps) (1 + (1-beta) lambda eps), summed: the scale of C'."""
+        lam, eps = user.arrival_rate, TestCeilingSlopes.QOS.delay_s
+        v = edge.service_rate(TASK) - beta * lam
+        n = user.local_service_rate(TASK) - (1.0 - beta) * lam
+        return math.exp(-v * eps) * (1.0 + beta * lam * eps) + math.exp(-n * eps) * (
+            1.0 + (1.0 - beta) * lam * eps
+        )
+
+    @pytest.mark.parametrize("user, edge, beta", CASES)
+    def test_outage_slope_matches_mpmath(self, user, edge, beta):
+        got = ceiling_outage_slope(user, TASK, edge, self.QOS, beta)
+        exact = float(exact_outage.ceiling_outage_slope(user, TASK, edge, self.QOS, beta))
+        # C' is a difference, which cancels at C's minimum
+        assert abs(got - exact) <= 1e-13 * self.terms(user, edge, beta)
+
+    @pytest.mark.parametrize("user, edge, beta", CASES)
+    def test_margin_slope_matches_mpmath(self, user, edge, beta):
+        got = ceiling_margin_slope(user, TASK, edge, self.QOS, beta)
+        exact = float(exact_outage.ceiling_margin_slope(user, TASK, edge, self.QOS, beta))
+        # -(C' + margin) / beta, and the margin is formed next to 1
+        assert abs(got - exact) <= 1e-13 * (self.terms(user, edge, beta) + 1.0) / beta
+
+    def test_infinite_margins(self):
+        user, edge = self.CASES[-1][:2]
+        slopes = (ceiling_outage_slope, ceiling_margin_slope)
+        # the local queue is unstable below beta = 0.25: the margin rises
+        assert [s(user, TASK, edge, self.QOS, 0.2) for s in slopes] == [-math.inf, math.inf]
+        # past the edge's limit, with mu_m = 30 jobs/s: the margin falls
+        slow = EdgeProfile(cpu_hz=3.0e8)
+        assert [s(user, TASK, slow, self.QOS, 0.8) for s in slopes] == [math.inf, -math.inf]
+        # where the local share alone meets theta the margin is +inf: flat
+        relaxed = QosTarget(delay_s=0.08, min_reliability=0.2)
+        assert ceiling_margin(user, TASK, edge, relaxed, 0.5) == math.inf
+        assert ceiling_margin_slope(user, TASK, edge, relaxed, 0.5) == 0.0
 
 
 class TestOracle:
