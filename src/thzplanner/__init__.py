@@ -55,7 +55,6 @@ from .reliability import (
     UserProfile,
     ceiling_margin,
     ceiling_margin_slope,
-    ceiling_outage_slope,
     edge_reliability,
     local_reliability,
     min_stable_share,

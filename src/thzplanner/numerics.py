@@ -150,11 +150,13 @@ def _false_position(
     sign; an end kept twice in a row has its value halved, which stops the
     one-sided creep of plain false position.  A step bisects instead where
     an end's value is not finite, or where the last two steps did not halve
-    the bracket (next to a pole of g).  Returns the last bracket (a, b), at
-    most _ROOT_TOL wide (or (c, c) at an exact zero c), with g of ga's sign
-    at a; g was evaluated at both ends.
+    the bracket (next to a pole of g); the first time the secant rounds
+    onto an end, it probes that end's neighbour instead.  Returns the last
+    bracket (a, b), at most _ROOT_TOL wide (or (c, c) at an exact zero c),
+    with g of ga's sign at a; g was evaluated at both ends.
     """
     kept = 0  # 1: b was kept by the last step, -1: a was
+    nudged = False
     # the bracket's width two steps ago and one step ago; the start counts
     # for both, so the first step bisects
     before = [abs(b - a)] * 2
@@ -163,8 +165,14 @@ def _false_position(
         if width <= _ROOT_TOL:
             break
         c = b - gb * (b - a) / (gb - ga)
-        if not min(a, b) < c < max(a, b) or width > 0.5 * before[0]:
-            c = 0.5 * (a + b)  # also where the secant is nan or rounds onto an end
+        if c in (a, b) and not nudged and width <= 0.5 * before[0]:
+            # the secant puts the zero within an ulp of that end: probe the
+            # double next to it, which closes the bracket where g is about
+            # linear.  Once: where it does not, later secants are no better
+            nudged = True
+            c = math.nextafter(c, a if c == b else b)
+        elif width > 0.5 * before[0] or not min(a, b) < c < max(a, b):
+            c = 0.5 * (a + b)  # also where the secant is nan
             if c in (a, b):
                 break
         before = [before[1], width]
@@ -205,8 +213,9 @@ def minimize_scalar(
     1. hi is the minimum where f is finite there and falls (slope <= 0);
     2. a run point where f is finite: hi, lo, or else the margin's peak;
     3. the run's ends: lo or hi where their margin is positive, else the
-       margin's root between them and the run point, moved (by bisection)
-       to the last point towards them where f is finite;
+       margin's root between them and the run point, moved (by one
+       tolerance, then by bisection) to the last point towards them where
+       f is finite;
     4. an end if f rises from it (a) or falls into it (b), else the root of
        f's slope: the end of its last bracket with the smaller slope.
 
@@ -229,29 +238,29 @@ def minimize_scalar(
         return slope(x, value_of(x))
 
     margin_at = functools.cache(margin)
+    margin_slope_at = functools.cache(margin_slope)
 
     def usable(x: float) -> bool:
         return margin_at(x) > 0.0 and value_of(x) < math.inf
-
-    def room(x: float) -> float:
-        """The margin, with a zero margin (outside the run) as -inf."""
-        return margin_at(x) or -math.inf
 
     if usable(hi) and slope_at(hi) <= 0.0:
         return hi, value_of(hi)
     inside = next((x for x in (hi, lo) if usable(x)), None)
     if inside is None:
-        s_lo, s_hi = margin_slope(lo), margin_slope(hi)
+        s_lo, s_hi = margin_slope_at(lo), margin_slope_at(hi)
         if s_lo > 0.0 > s_hi:
-            peak = _false_position(margin_slope, lo, s_lo, hi, s_hi)
-            inside = min(peak, key=lambda x: abs(margin_slope(x)))
+            peak = _false_position(margin_slope_at, lo, s_lo, hi, s_hi)
+            inside = min(peak, key=lambda x: abs(margin_slope_at(x)))
         if inside is None or not usable(inside):
             raise ValueError("no point has a positive margin and a finite objective")
 
     def run_end(end: float) -> float:
         """The run's last point towards end where f is finite."""
-        if margin_at(end) <= 0.0:
-            end = _false_position(room, inside, room(inside), end, room(end))[0]
+        if margin_at(end) < 0.0:
+            end = _false_position(margin_at, inside, margin_at(inside), end, margin_at(end))[0]
+        if not usable(end) and abs(end - inside) > _ROOT_TOL:
+            # f is inf next to the margin's root: one tolerance in, it rarely is
+            end += math.copysign(_ROOT_TOL, inside - end)
         last = inside
         while not usable(end) and abs(end - last) > _ROOT_TOL:
             mid = 0.5 * (last + end)

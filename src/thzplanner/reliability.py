@@ -304,7 +304,7 @@ def ceiling_margin(
     return _margin(mu_m - offered, edge_target, qos.delay_s)
 
 
-def ceiling_outage_slope(
+def _ceiling_outage_slope(
     user: UserProfile,
     task: TaskProfile,
     edge: EdgeProfile,
@@ -349,7 +349,7 @@ def ceiling_margin_slope(
     margin = ceiling_margin(user, task, edge, qos, beta)
     if margin == math.inf:
         return 0.0
-    slope = ceiling_outage_slope(user, task, edge, qos, beta)
+    slope = _ceiling_outage_slope(user, task, edge, qos, beta)
     return -slope if margin == -math.inf else -(slope + margin) / beta
 
 

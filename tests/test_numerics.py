@@ -314,14 +314,27 @@ class TestMinimizeScalar:
             return 0.3 - abs(t - 0.5)
 
         minimize_scalar(f, 0.0, 1.0, margin, parabola(0.55)[1], lambda t: 0.5 - t)
-        # a scan probes all 1,024 points.  The margin's peak, and the slope's root,
-        # take one bisection and one secant step each, since both are
-        # linear.  So does each margin root, but there the secant lands
-        # exactly on the tent's end, where the margin is 0: outside the run,
-        # with no slope to follow, so the rest of each end is bisection to
-        # 1e-9, about 30 margin probes
-        assert calls["margin"] <= 64
+        # a scan probes all 1,024 points.  The margin's peak, each margin
+        # root and the slope's root take one bisection and one secant step
+        # each, since all are linear
+        assert calls["margin"] <= 20
         assert calls["f"] <= 6
+
+    def test_infinite_objective_next_to_the_run_end(self):
+        # as the rate threshold, f is inf where the margin is positive but
+        # tiny: the end steps 1e-9 inside instead of bisecting from the peak
+        calls = []
+
+        def margin(t):
+            calls.append(t)
+            return 0.3 - abs(t - 0.5)
+
+        def f(t):
+            return -t if margin(t) > 1e-12 else math.inf
+
+        x, fx = minimize_scalar(f, 0.0, 1.0, margin, line(-1.0)[1], lambda t: 0.5 - t)
+        assert 0.8 - 2e-9 <= x < 0.8 and fx == -x
+        assert len(calls) <= 20
 
     def test_end_of_the_range_costs_no_probe(self):
         calls = []

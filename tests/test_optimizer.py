@@ -233,7 +233,7 @@ class TestMinimizeRateThreshold:
         monkeypatch.setattr(optimizer, "rate_threshold", counting)
         for k in range(len(REF.users)):
             minimize_rate_threshold(REF, k)
-        assert counts == Counter(calls=63)
+        assert counts == Counter(calls=61)
 
     def test_no_probe_raises_on_generated_users(self, monkeypatch):
         """The share search calls the closed form only where the margin

@@ -24,7 +24,6 @@ from thzplanner import (
     UserProfile,
     ceiling_margin,
     ceiling_margin_slope,
-    ceiling_outage_slope,
     edge_reliability,
     local_reliability,
     queue_rates,
@@ -34,6 +33,7 @@ from thzplanner import (
     system_reliability,
 )
 from thzplanner import reliability
+from thzplanner.reliability import _ceiling_outage_slope
 import exact_outage
 from exact_outage import exact_rate_slope, outage
 
@@ -446,7 +446,7 @@ class TestCeilingSlopes:
 
     @pytest.mark.parametrize("user, edge, beta", CASES)
     def test_outage_slope_matches_mpmath(self, user, edge, beta):
-        got = ceiling_outage_slope(user, TASK, edge, self.QOS, beta)
+        got = _ceiling_outage_slope(user, TASK, edge, self.QOS, beta)
         exact = float(exact_outage.ceiling_outage_slope(user, TASK, edge, self.QOS, beta))
         # C' is a difference, which cancels at C's minimum
         assert abs(got - exact) <= 1e-13 * self.terms(user, edge, beta)
@@ -460,7 +460,7 @@ class TestCeilingSlopes:
 
     def test_infinite_margins(self):
         user, edge = self.CASES[-1][:2]
-        slopes = (ceiling_outage_slope, ceiling_margin_slope)
+        slopes = (_ceiling_outage_slope, ceiling_margin_slope)
         # the local queue is unstable below beta = 0.25: the margin rises
         assert [s(user, TASK, edge, self.QOS, 0.2) for s in slopes] == [-math.inf, math.inf]
         # past the edge's limit, with mu_m = 30 jobs/s: the margin falls
