@@ -9,10 +9,13 @@ mixture
 
     Phi(beta, R) = (1 - beta) * Phi_local + beta * Phi_edge
 
-is compared against the target theta.  The edge term has the two-stage
-closed form below; inverting Phi = theta for the minimum transmission rate
-is a Lambert W evaluation with one genuine and one spurious root, resolved
-analytically here and cross-checked by bisection in the tests.
+is compared against the target theta, in outages: a share can meet it
+exactly where the ceiling outage C(beta) = beta e^(-v eps) + (1 - beta)
+e^(-n eps), the R -> inf limit (v = mu_m - beta lambda, n = mu_l - (1 - beta)
+lambda), is below 1 - theta.  The edge term has the two-stage closed form
+below; inverting Phi = theta for the minimum transmission rate is a Lambert
+W evaluation with one genuine and one spurious root, resolved analytically
+here and cross-checked by bisection in the tests.
 """
 
 from __future__ import annotations
@@ -141,12 +144,17 @@ def local_reliability(
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
+    return -math.expm1(-_local_net_rate(user, task, beta) * epsilon_s)
+
+
+def _local_net_rate(user: UserProfile, task: TaskProfile, beta: float) -> float:
+    """mu_l - (1 - beta) lambda; raises StabilityError unless positive."""
     net = user.local_service_rate(task) - (1.0 - beta) * user.arrival_rate
     if net <= 0.0:
         raise StabilityError(
             f"local queue unstable: mu_l - (1-beta)*lambda = {net:.6g} <= 0"
         )
-    return -math.expm1(-net * epsilon_s)
+    return net
 
 
 def _edge_tail(rates: QueueRates, epsilon_s: float) -> Tuple[float, float]:
@@ -218,7 +226,8 @@ def _genuine_root_rate(
     epsilon_s: float,
     mean_job_bits: float,
 ) -> float:
-    """Rate solving Phi_edge = sup - diff, the genuine Lambert W root.
+    """Rate at which the edge outage e^(-v eps) + rest is e^(-v eps) + diff
+    (rest as in _edge_tail), the genuine Lambert W root.
 
     Writing v = mu_m - offered and Lam = e^(v eps) diff / v, the condition
     becomes w e^w = -s e^(-s) with s = eps / Lam and w = -eps (v - u) - s.
@@ -230,7 +239,9 @@ def _genuine_root_rate(
     v = mu_m - offered
     log_lam = v * epsilon_s + math.log(diff) - math.log(v)
     log_s = math.log(epsilon_s) - log_lam
-    s = math.exp(log_s)  # s <= sup / diff and diff >= ~2^-53 sup: log s <= ~38
+    # s = v eps e^(-v eps) / diff and diff >= ~2^-53 e^(-v eps) unless that
+    # underflows (v eps > ~745, s tiny), so s <= ~2^53 * 745: log s <= ~44
+    s = math.exp(log_s)
     if log_s < -690.0:
         # W's argument underflows, and w ~ -v eps would cancel in
         # mu_m + w / eps.  w + log(-w) = log s - s gives x = u eps directly.
@@ -247,12 +258,13 @@ def _edge_target(
     edge: EdgeProfile,
     qos: QosTarget,
     beta: float,
-) -> Tuple[float, float, float, float]:
-    """(mu_m, offered load, stability floor rate, edge reliability target).
+) -> Tuple[float, float, float, float, float]:
+    """(mu_m, offered load, stability floor rate, edge outage budget B,
+    margin B - e^(-v eps)), B = ((1 - theta) - (1 - beta) e^(-n eps)) / beta.
 
     The setup shared by the closed form and the bisection oracle.  Raises
-    StabilityError when the edge or the local queue is unstable.  A
-    nonpositive edge target means the local share alone meets theta.
+    StabilityError when the edge or the local queue is unstable.  B >= 1
+    means the local share alone meets theta: the margin is then +inf.
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError("rate threshold needs beta in (0, 1]")
@@ -263,23 +275,12 @@ def _edge_target(
             f"edge queue unstable: mu_m - beta*lambda = {mu_m - offered:.6g} <= 0"
         )
     floor_rate = offered * task.mean_job_bits * (1.0 + STABILITY_MARGIN)
-    theta = qos.min_reliability
+    budget = 1.0 - qos.min_reliability
     if beta < 1.0:
-        phi_l = local_reliability(user, task, beta, qos.delay_s)  # raises if unstable
-        return mu_m, offered, floor_rate, (theta - (1.0 - beta) * phi_l) / beta
-    return mu_m, offered, floor_rate, theta
-
-
-def _ceiling(v: float, epsilon_s: float) -> float:
-    """sup over R of Phi_edge: its u -> inf limit 1 - e^(-v eps)."""
-    return -math.expm1(-v * epsilon_s)
-
-
-def _margin(v: float, edge_target: float, epsilon_s: float) -> float:
-    """Ceiling minus edge target; +inf when the target is nonpositive."""
-    if edge_target <= 0.0:
-        return math.inf
-    return _ceiling(v, epsilon_s) - edge_target
+        local_miss = math.exp(-_local_net_rate(user, task, beta) * qos.delay_s)
+        budget = (budget - (1.0 - beta) * local_miss) / beta
+    margin = math.inf if budget >= 1.0 else budget - math.exp(-(mu_m - offered) * qos.delay_s)
+    return mu_m, offered, floor_rate, budget, margin
 
 
 def ceiling_margin(
@@ -289,7 +290,8 @@ def ceiling_margin(
     qos: QosTarget,
     beta: float,
 ) -> float:
-    """Room between the edge ceiling and the edge target at share beta.
+    """((1 - theta) - C(beta)) / beta: the edge outage budget's room above
+    the edge's ceiling outage e^(-v eps) at share beta.
 
     rate_threshold returns a rate exactly where this is positive and raises
     where it is not: it decides feasibility with the same expression.
@@ -298,10 +300,9 @@ def ceiling_margin(
     (0, 1], so a search can probe shares without exceptions.
     """
     try:
-        mu_m, offered, _, edge_target = _edge_target(user, task, edge, qos, beta)
+        return _edge_target(user, task, edge, qos, beta)[-1]
     except StabilityError:
         return -math.inf
-    return _margin(mu_m - offered, edge_target, qos.delay_s)
 
 
 def _ceiling_outage_slope(
@@ -311,9 +312,7 @@ def _ceiling_outage_slope(
     qos: QosTarget,
     beta: float,
 ) -> float:
-    """Slope of the ceiling outage C = beta e^(-v eps) + (1-beta) e^(-n eps),
-    the outage as R grows without bound (v = mu_m - beta lambda and
-    n = mu_l - (1-beta) lambda):
+    """Slope of the ceiling outage C of the module docstring:
 
         C'(beta) = e^(-v eps) (1 + beta lambda eps) - e^(-n eps) (1 + (1-beta) lambda eps)
 
@@ -362,20 +361,20 @@ def rate_threshold(
 ) -> float:
     """Minimum transmission rate (bit/s) meeting the reliability target.
 
-    Solves Phi(beta, R) = theta for R in closed form via Lambert W.  Always
-    at least the stability floor beta * lambda * L_a * (1 + 1e-6).  When the
-    local share alone already meets theta, the floor is returned without
-    solving (any stable rate works).
+    Solves Phi(beta, R) = theta for R in closed form via Lambert W, whose
+    input is ceiling_margin's value.  Always at least the stability floor
+    beta * lambda * L_a * (1 + 1e-6).  When the local share alone already
+    meets theta, the floor is returned without solving (any stable rate
+    works).
     """
-    mu_m, offered, floor_rate, edge_target = _edge_target(user, task, edge, qos, beta)
+    mu_m, offered, floor_rate, budget, diff = _edge_target(user, task, edge, qos, beta)
     eps = qos.delay_s
-    diff = _margin(mu_m - offered, edge_target, eps)
     if diff == math.inf:
         return floor_rate  # reliability already met locally
     if diff <= 0.0:
         raise InfeasibleError(
-            f"edge reliability target {edge_target:.12g} is not reachable: "
-            f"ceiling is {_ceiling(mu_m - offered, eps):.12g}"
+            f"edge outage budget {budget:.12g} is not reachable: "
+            f"ceiling outage is {math.exp(-(mu_m - offered) * eps):.12g}"
         )
     root = _genuine_root_rate(mu_m, offered, diff, eps, task.mean_job_bits)
     return max(root, floor_rate)
@@ -463,15 +462,14 @@ def rate_threshold_oracle(
     form.  Expands the bracket upward from the stability floor and raises
     InfeasibleError once the required rate exceeds 1e15 bit/s.
     """
-    mu_m, _, floor_rate, edge_target = _edge_target(user, task, edge, qos, beta)
-    if edge_target <= 0.0:
+    mu_m, _, floor_rate, budget, _ = _edge_target(user, task, edge, qos, beta)
+    if budget >= 1.0:
         return floor_rate
     eps = qos.delay_s
     miss = 1.0 - qos.min_reliability
     local_miss = 0.0
-    if beta < 1.0:  # the local queue is stable: _edge_target checked it
-        net = user.local_service_rate(task) - (1.0 - beta) * user.arrival_rate
-        local_miss = (1.0 - beta) * math.exp(-net * eps)
+    if beta < 1.0:
+        local_miss = (1.0 - beta) * math.exp(-_local_net_rate(user, task, beta) * eps)
 
     def gap(rate: float) -> float:
         e_v, rest = _edge_tail(queue_rates(user, task, edge, beta, rate), eps)

@@ -106,10 +106,7 @@ def assert_share_search_gate(scenario, k):
     The same verdict.  Where the dense scan plans full offload (or no
     link), the same bytes.  Elsewhere the share is no worse: its rate, by
     the bisection oracle, exceeds the rate of the dense scan's share by at
-    most the oracle's own resolution.  The closed form's rates are not
-    compared directly: where its `sup - edge_target` cancels, they scatter
-    by up to about 1e-10 relative from share to share, and the golden
-    section's best probe partly records that scatter.
+    most the oracle's own resolution.
     """
     got = share_search_outcome(scenario, k)
     ref = share_search_outcome(scenario, k, dense=True)

@@ -46,6 +46,8 @@ FIXED = settings(derandomize=True, deadline=None, max_examples=300)
 ORACLE_CAP_BPS = 1e15
 # the oracle against the 60-digit root: its bisection stops at 1e-12 wide
 MPMATH_RTOL = 1e-11
+# the closed form against the 60-digit root
+CLOSED_FORM_RTOL = 1e-12
 
 
 def log_uniform(lo, hi):
@@ -60,12 +62,12 @@ def log_uniform(lo, hi):
     f_l=log_uniform(1e6, 1e11),
     f_m=log_uniform(1e7, 1e16),
     eps=log_uniform(1e-5, 10.0),
-    # 1 - theta stops at 1e-9: below it the closed form's sup - edge_target
-    # can cancel (when the ceiling outage e^(-v eps) sits near the target)
-    # and lose the 1e-6 agreement; test_oracle_matches_mpmath goes lower
-    miss=log_uniform(1e-9, 0.99),
+    miss=log_uniform(1e-15, 0.99),
     beta=st.floats(0.0, 1.0, exclude_min=True),
 )
+# the ceiling outage e^(-v eps) = 1.9e-14 sits near the 1e-12 budget
+@example(bits=1e3, cycles=10 ** 7.375, lam=1.0, f_l=1e6, f_m=10 ** 10.5,
+         eps=10 ** -1.625, miss=1e-12, beta=1.0)
 def test_rate_threshold_matches_oracle(bits, cycles, lam, f_l, f_m, eps, miss, beta):
     args = (
         UserProfile(arrival_rate=lam, local_cpu_hz=f_l),
@@ -88,8 +90,8 @@ def test_rate_threshold_matches_oracle(bits, cycles, lam, f_l, f_m, eps, miss, b
 
 
 # rate_slope against the derivative of the 60-digit R*: the closed-form
-# rate it is given holds to about 1e-9 at 1 - theta = 1e-9
-SLOPE_RTOL = 1e-7
+# rate it is given holds to about 1e-14 (worst seen: 5.5e-14)
+SLOPE_RTOL = 1e-12
 
 
 @FIXED
@@ -100,7 +102,7 @@ SLOPE_RTOL = 1e-7
     f_l=log_uniform(1e6, 1e11),
     f_m=log_uniform(1e7, 1e16),
     eps=log_uniform(1e-5, 10.0),
-    miss=log_uniform(1e-9, 0.99),
+    miss=log_uniform(1e-15, 0.99),
     beta=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
 )
 def test_rate_slope_matches_mpmath(bits, cycles, lam, f_l, f_m, eps, miss, beta):
@@ -179,13 +181,17 @@ def mpmath_rate_threshold(user, task, edge, qos, beta):
     miss=log_uniform(1e-15, 1e-5),
     beta=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
 )
-# the ceiling outage e^(-v eps) = 1.9e-14 sits near the 1e-12 target, where
-# the closed form loses digits to cancellation
+# the ceiling outage e^(-v eps) = 1.9e-14 sits near the 1e-12 budget
 @example(bits=1e3, cycles=10 ** 7.375, lam=1.0, f_l=1e6, f_m=10 ** 10.5,
          eps=10 ** -1.625, miss=1e-12, beta=1.0)
+# a generated plan user's interior share: the margin there is 6.3e-7
+@example(bits=8e6, cycles=1e7, lam=21.02, f_l=1.845e9, f_m=2.175e10,
+         eps=0.0912, miss=1.0 - 0.9999996883, beta=0.10109820566846853)
 def test_oracle_matches_mpmath(bits, cycles, lam, f_l, f_m, eps, miss, beta):
     """The bisection oracle holds at 1 - theta down to 1e-15: it bisects on
-    the outage, which it never forms as 1 - Phi."""
+    the outage, which it never forms as 1 - Phi.  Off the stability floor
+    the closed form holds to 1e-12 there too: it forms its margin from
+    outages as well."""
     args = (
         UserProfile(arrival_rate=lam, local_cpu_hz=f_l),
         TaskProfile(mean_job_bits=bits, mean_job_cycles=cycles),
@@ -200,6 +206,9 @@ def test_oracle_matches_mpmath(bits, cycles, lam, f_l, f_m, eps, miss, beta):
     exact = mpmath_rate_threshold(*args)
     assert exact is not None
     assert abs(ref - exact) <= MPMATH_RTOL * exact
+    closed = rate_threshold(*args)
+    if closed > beta * lam * bits * (1.0 + tp.reliability.STABILITY_MARGIN):
+        assert abs(closed - exact) <= CLOSED_FORM_RTOL * exact
 
 
 @FIXED
@@ -317,13 +326,7 @@ def share_search_scenario(bits, cycles, lam, f_l, f_m, eps, miss):
     )
 
 
-# the extremes of test_rate_threshold_matches_oracle, with 1 - theta down
-# to 1e-12.  Below about 1e-14 the closed form's cancellation (see that
-# test) makes R(beta) ragged between lattice points, and the two searches
-# can settle in different ragged dips.  Where the margin is within about
-# 1e-12 of 0 it is ragged already at 1 - theta = 1e-12 (lambda 1, L_a 1e3
-# bits, mu_a 10^5.53 cycles, f_l 10^6.97 Hz, f_m 1e7 Hz, eps 1 s: the
-# lattice margins and rates have several local turns there).
+# the extremes of test_rate_threshold_matches_oracle
 SHARE_SEARCH_CASES = dict(
     bits=log_uniform(1e3, 1e9),
     cycles=log_uniform(1e5, 1e9),
@@ -331,7 +334,7 @@ SHARE_SEARCH_CASES = dict(
     f_l=log_uniform(1e6, 1e11),
     f_m=log_uniform(1e7, 1e16),
     eps=log_uniform(1e-5, 10.0),
-    miss=log_uniform(1e-12, 0.99),
+    miss=log_uniform(1e-15, 0.99),
 )
 
 
@@ -394,6 +397,9 @@ def _turns(values):
 @FIXED
 @given(**SHARE_SEARCH_CASES)
 @share_search_examples
+# the margin is within about 1e-12 of 0 over part of the run
+@example(bits=1e3, cycles=10 ** 5.53125, lam=1.0, f_l=10 ** 6.96875, f_m=1e7,
+         eps=1.0, miss=1e-12)
 def test_share_search_lattice_structure(bits, cycles, lam, f_l, f_m, eps, miss):
     """What the root-based search assumes, on the dense scan's lattice: C'
     never falls, so the margin's slope changes sign once, from + to -, the

@@ -213,8 +213,8 @@ class TestRateThreshold:
             assert abs(phi - qos.min_reliability) <= 1e-8
 
     def test_small_share_infeasible_for_strong_local_user(self):
-        # local alone gives Phi_l < theta, so the edge share would need a
-        # reliability above one: (theta - (1-b) Phi_l) / b > 1 at small b
+        # local alone misses more than 1 - theta, so the edge share would
+        # need a negative outage: ((1-theta) - (1-b) e^(-n eps)) / b < 0 at small b
         user = UserProfile(arrival_rate=19.0, local_cpu_hz=1.45e9)
         edge = EdgeProfile(cpu_hz=2.0e10)
         qos = QosTarget(delay_s=0.08, min_reliability=0.99999)
@@ -224,7 +224,8 @@ class TestRateThreshold:
             rate_threshold(user, TASK, edge, qos, 0.1)
         assert isinstance(info.value, ValueError)
         assert str(info.value) == (
-            "edge reliability target 1.00022399728 is not reachable: ceiling is 1"
+            "edge outage budget -0.000223997284732 is not reachable: "
+            "ceiling outage is 3.79223861983e-70"
         )
 
     def test_agrees_with_bisection(self):
@@ -266,7 +267,8 @@ class TestRateThreshold:
             rate_threshold(user, TASK, edge, qos, 1.0)
         assert isinstance(info.value, ValueError)
         assert str(info.value) == (
-            "edge reliability target 0.99999 is not reachable: ceiling is 0.147856211034"
+            "edge outage budget 9.99999999995e-06 is not reachable: "
+            "ceiling outage is 0.852143788966"
         )
 
     def test_unstable_edge_raises(self):
@@ -401,15 +403,16 @@ class TestRateSlope:
         assert floor_slope == pytest.approx(exact_slope(user, self.EDGE, qos, beta, r), rel=1e-12)
 
     def test_floor_above_the_root(self):
-        # the local share leaves 1e-9 of theta to the edge, less than the
-        # edge delivers at the floor rate (about u eps = 2e-8): the Lambert
-        # W root lies below the stability floor, and the floor binds
+        # the local share leaves the edge an outage budget of 1 - 1e-9, more
+        # than it misses at the floor rate (about 1 - u eps = 1 - 2e-8): the
+        # Lambert W root lies below the stability floor, and the floor binds
         user = UserProfile(arrival_rate=5.0, local_cpu_hz=2.0e9)
         beta = 0.05
         phi_l = local_reliability(user, TASK, beta, 0.08)
         qos = QosTarget(delay_s=0.08, min_reliability=(1.0 - beta) * phi_l + beta * 1e-9)
-        _, _, floor, target = reliability._edge_target(user, TASK, self.EDGE, qos, beta)
-        assert 0.0 < target  # the root is solved for, then clamped
+        _, _, floor, budget, _ = reliability._edge_target(user, TASK, self.EDGE, qos, beta)
+        # the root is solved for, then clamped
+        assert 1.0 - budget == pytest.approx(1e-9, rel=1e-5)
         r = rate_threshold(user, TASK, self.EDGE, qos, beta)
         assert r == floor
         floor_slope = user.arrival_rate * TASK.mean_job_bits * (1.0 + reliability.STABILITY_MARGIN)
@@ -455,8 +458,8 @@ class TestCeilingSlopes:
     def test_margin_slope_matches_mpmath(self, user, edge, beta):
         got = ceiling_margin_slope(user, TASK, edge, self.QOS, beta)
         exact = float(exact_outage.ceiling_margin_slope(user, TASK, edge, self.QOS, beta))
-        # -(C' + margin) / beta, and the margin is formed next to 1
-        assert abs(got - exact) <= 1e-13 * (self.terms(user, edge, beta) + 1.0) / beta
+        # -(C' + margin) / beta
+        assert abs(got - exact) <= 1e-13 * self.terms(user, edge, beta) / beta
 
     def test_infinite_margins(self):
         user, edge = self.CASES[-1][:2]
