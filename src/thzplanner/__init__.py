@@ -23,7 +23,7 @@ from .channel import (
     path_loss,
     supermodularity_gap,
 )
-from .numerics import find_root, lambert_w, minimize_scalar
+from .numerics import lambert_w, minimize_scalar
 from .optimizer import (
     FEASIBLE,
     INFEASIBLE,

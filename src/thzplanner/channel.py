@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .numerics import find_root, lambert_w, lambert_w_log
+from .numerics import _false_position, lambert_w, lambert_w_log
 
 SPEED_OF_LIGHT = 3.0e8  # m/s, planning convention
 FREQ_MIN_GHZ = 100.0
@@ -244,8 +244,10 @@ def attenuation_crossover(
     """Carrier where f * gamma'(f) - gamma(f) changes sign.
 
     Below the root the sorted-assignment argument holds exactly; the default
-    fit crosses near 216.57 GHz.  Raises ValueError when the bracket does
-    not straddle a sign change.
+    fit crosses near 216.57 GHz.  The root comes from the share search's
+    false position: h is zero at the carrier returned, or changes sign
+    within 1e-9 GHz of it.  Raises ValueError when the bracket does not
+    straddle a sign change.
     """
     _check_freq(lo_ghz)
     _check_freq(hi_ghz)
@@ -253,4 +255,12 @@ def attenuation_crossover(
     def h(f: float) -> float:
         return f * attenuation_derivative(fit, f) - gaseous_attenuation(fit, f)
 
-    return find_root(h, lo_ghz, hi_ghz, tol=1e-8)
+    h_lo, h_hi = h(lo_ghz), h(hi_ghz)
+    if h_lo == 0.0 or h_hi == 0.0:
+        return lo_ghz if h_lo == 0.0 else hi_ghz
+    if (h_lo < 0.0) == (h_hi < 0.0):
+        raise ValueError(
+            f"f * gamma'(f) - gamma(f) does not change sign between {lo_ghz:g}"
+            f" and {hi_ghz:g} GHz"
+        )
+    return _false_position(h, lo_ghz, h_lo, hi_ghz, h_hi)[0]

@@ -40,7 +40,7 @@ from .reliability import (
     rate_threshold,
     rate_threshold_oracle,
 )
-from .scenario_io import ScenarioFormatError, file_sha256, load_scenario
+from .scenario_io import file_sha256, load_scenario
 from .simulator import (
     ISOLATED,
     SHARED_EDGE,
@@ -408,16 +408,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INPUT
     except (InfeasibleError, StabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INFEASIBLE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INPUT
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ScenarioFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
 

@@ -1,10 +1,12 @@
-"""Numerical kernels: Lambert W, bracketed minimization, bisection, assignment.
+"""Numerical kernels: Lambert W, bracketed roots and minimization, assignment.
 
 The minimizer scans nothing.  It finds a feasible point at the root of
 the margin's slope, the feasible run's ends as roots of the margin, and
 the minimum as the root of the objective's slope: a root of the slope is
 well conditioned where the flat minimum itself is not.  One safeguarded
-Illinois false position finds all three roots.
+Illinois false position finds all three roots, and it is the package's
+only bracketed root finder: the channel's attenuation crossover uses it
+too.
 
 Everything here is dependency-free on purpose.  The planner inverts its
 link-budget and queueing expressions through these routines, and keeping
@@ -214,8 +216,8 @@ def minimize_scalar(
     2. a run point where f is finite: hi, lo, or else the margin's peak;
     3. the run's ends: lo or hi where their margin is positive, else the
        margin's root between them and the run point, moved (by one
-       tolerance, then by bisection) to the last point towards them where
-       f is finite;
+       tolerance, then by a root of the sign of "margin positive and f
+       finite") to the last point towards them where f is finite;
     4. an end if f rises from it (a) or falls into it (b), else the root of
        f's slope: the end of its last bracket with the smaller slope.
 
@@ -261,16 +263,9 @@ def minimize_scalar(
         if not usable(end) and abs(end - inside) > _ROOT_TOL:
             # f is inf next to the margin's root: one tolerance in, it rarely is
             end += math.copysign(_ROOT_TOL, inside - end)
-        last = inside
-        while not usable(end) and abs(end - last) > _ROOT_TOL:
-            mid = 0.5 * (last + end)
-            if mid in (last, end):
-                break
-            if usable(mid):
-                last = mid
-            else:
-                end = mid
-        return end if usable(end) else last
+        if usable(end):
+            return end
+        return _false_position(lambda x: 1.0 if usable(x) else -1.0, inside, 1.0, end, -1.0)[0]
 
     a, b = run_end(lo), run_end(hi)
     s_a, s_b = slope_at(a), slope_at(b)
@@ -280,37 +275,6 @@ def minimize_scalar(
         return b, value_of(b)
     x = min(_false_position(slope_at, a, s_a, b, s_b), key=lambda e: abs(slope_at(e)))
     return x, value_of(x)
-
-
-def find_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-10,
-) -> float:
-    """Bisection root of f on [lo, hi]; endpoints must bracket a sign change."""
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise ValueError("f(lo) and f(hi) must differ in sign")
-    while (hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # interval at floating-point resolution
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def min_cost_assignment(cost: Sequence[Sequence[float]]) -> Tuple[int, ...]:

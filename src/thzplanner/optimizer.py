@@ -33,7 +33,6 @@ from .reliability import (
     UserProfile,
     ceiling_margin,
     ceiling_margin_slope,
-    local_reliability,
     min_stable_share,
     rate_slope,
     rate_threshold,
@@ -99,7 +98,8 @@ def minimize_rate_threshold(scenario: Scenario, user_index: int) -> Tuple[float,
     """Offloading share minimizing the user's rate requirement.
 
     Returns (beta, rate).  (0.0, 0.0) means the user needs no link at all:
-    keeping every job local already meets the reliability target.  The
+    keeping every job local already meets the reliability target, that is,
+    the local outage e^(-(mu_l - lambda) eps) is at most 1 - theta.  The
     search (numerics.minimize_scalar) runs over the stable shares, where
     ceiling_margin tells the feasible ones without raising and
     ceiling_margin_slope points to its peak, so the closed form is
@@ -109,10 +109,11 @@ def minimize_rate_threshold(scenario: Scenario, user_index: int) -> Tuple[float,
     user = scenario.users[user_index]
     task, edge, qos = scenario.task, scenario.edge, scenario.qos
 
+    # the local queue's outage against the budget, as _edge_target forms both
+    net = user.local_service_rate(task) - user.arrival_rate
+    if net > 0.0 and math.exp(-net * qos.delay_s) <= 1.0 - qos.min_reliability:
+        return 0.0, 0.0
     beta_lo = min_stable_share(user, task)
-    if beta_lo == 0.0 and user.arrival_rate < user.local_service_rate(task):
-        if local_reliability(user, task, 0.0, qos.delay_s) >= qos.min_reliability:
-            return 0.0, 0.0
     # at least one ulp above the floor, also where the offset rounds away
     lo = max(beta_lo + _BETA_EDGE_OFFSET * (1.0 - beta_lo), math.nextafter(beta_lo, 1.0))
     if lo >= 1.0:
@@ -135,15 +136,12 @@ def minimize_rate_threshold(scenario: Scenario, user_index: int) -> Tuple[float,
         return ceiling_margin_slope(user, task, edge, qos, beta)
 
     try:
-        beta_star, rate_star = minimize_scalar(objective, lo, 1.0, margin, slope, margin_slope)
+        return minimize_scalar(objective, lo, 1.0, margin, slope, margin_slope)
     except ValueError as exc:
         # every share in the stable range is infeasible
         raise InfeasibleError(
             f"user {user_index}: no offloading share meets the reliability target"
         ) from exc
-    if rate_star <= 0.0:
-        return 0.0, 0.0  # zero-traffic user: no link needed
-    return beta_star, rate_star
 
 
 def assign_frequencies(

@@ -25,7 +25,6 @@ from thzplanner import (
     path_loss,
     supermodularity_gap,
 )
-from thzplanner.numerics import find_root
 
 # mpmath mp.dps=50 references
 GAMMA_100 = 7.3613350774870
@@ -37,6 +36,56 @@ CROSSOVER_GHZ = 216.56919282753
 
 RADIO = tp.reference_radio()
 ZERO_FIT = GaussianFit(terms=((0.0, 500.0, 1.0),) * 7)
+
+
+def find_root(f, lo, hi, tol=1e-10):
+    """Bisection root of f on [lo, hi]; endpoints must bracket a sign change.
+
+    The independent oracle for the distance inversion: plain bisection,
+    sharing no code with the package's false position.
+    """
+    if not lo < hi:
+        raise ValueError("need lo < hi")
+    flo = f(lo)
+    fhi = f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0.0) == (fhi > 0.0):
+        raise ValueError("f(lo) and f(hi) must differ in sign")
+    while (hi - lo) > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break  # interval at floating-point resolution
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0.0) == (flo > 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def crossover_gap(f):
+    """h(f) = f gamma'(f) - gamma(f) on the default fit."""
+    fit = DEFAULT_ATTENUATION_FIT
+    return f * attenuation_derivative(fit, f) - gaseous_attenuation(fit, f)
+
+
+class TestFindRoot:
+    def test_simple_root(self):
+        r = find_root(lambda t: t * t - 2.0, 0.0, 2.0, tol=1e-12)
+        assert abs(r - math.sqrt(2.0)) < 1e-11
+
+    def test_requires_sign_change(self):
+        with pytest.raises(ValueError):
+            find_root(lambda t: t * t + 1.0, -1.0, 1.0)
+
+    def test_root_at_endpoint(self):
+        r = find_root(lambda t: t, 0.0, 1.0)
+        assert abs(r) < 1e-12
 
 
 class TestGaussianFit:
@@ -231,14 +280,25 @@ class TestSupermodularity:
         x = attenuation_crossover(DEFAULT_ATTENUATION_FIT)
         assert x == pytest.approx(CROSSOVER_GHZ, abs=1e-6)
         # f gamma'(f) - gamma(f) is negative below the root, positive above
-        fit = DEFAULT_ATTENUATION_FIT
-
-        def h(f):
-            return f * attenuation_derivative(fit, f) - gaseous_attenuation(fit, f)
-
+        h = crossover_gap
         assert h(200.0) < 0.0
         assert h(300.0) > 0.0
         assert abs(h(x)) < 1e-6
+
+    def test_crossover_is_a_root(self):
+        """h is zero at the carrier returned, or changes sign within 1e-9 GHz
+        of it."""
+        for lo, hi in ((150.0, 300.0), (200.0, 250.0), (216.0, 217.0)):
+            x = attenuation_crossover(DEFAULT_ATTENUATION_FIT, lo, hi)
+            assert lo < x < hi
+            assert crossover_gap(x - 1e-9) < 0.0 < crossover_gap(x + 1e-9)
+
+    def test_crossover_needs_a_sign_change(self):
+        # h is about -2.82 at 150 GHz and -0.88 at 200 GHz: no root between
+        assert crossover_gap(150.0) == pytest.approx(-2.82, abs=5e-3)
+        assert crossover_gap(200.0) == pytest.approx(-0.88, abs=5e-3)
+        with pytest.raises(ValueError, match="does not change sign"):
+            attenuation_crossover(DEFAULT_ATTENUATION_FIT, 150.0, 200.0)
 
 
 class TestFrequencyGrid:

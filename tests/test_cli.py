@@ -318,6 +318,25 @@ class TestPlanCommand:
         assert rc == 1
         assert "finite" in capsys.readouterr().err
 
+    def test_rate_overflow_next_to_the_run_end(self, tmp_path):
+        """single_user with L_a 1e306 bits: at the feasible run's low end
+        the closed-form rate overflows to inf where the margin is still
+        positive, a region the share search steps around.  The planned rate
+        is finite, and no distance supports it."""
+        path = tmp_path / "huge_jobs.yaml"
+        path.write_text(
+            (ROOT / SINGLE).read_text().replace("L_a_bits: 8.0e+6", "L_a_bits: 1.0e+306")
+        )
+        scenario = load_scenario(str(path))
+        args = (scenario.users[0], scenario.task, scenario.edge, scenario.qos)
+        run = [b / 1000 for b in range(1, 1001) if tp.ceiling_margin(*args, b / 1000) > 0.0]
+        assert any(tp.rate_threshold(*args, b) == math.inf for b in run)
+        assert math.isfinite(tp.rate_threshold(*args, run[-1]))
+        out = tmp_path / "plan.csv"
+        assert cli.main(["plan", str(path), "-o", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert rows[0] == ["0", "0.442247976007", "8.94566415923e+307", "150", "0", "feasible"]
+
     def test_zero_absorption_plans_free_space_distances(self, tmp_path):
         path = zero_fit_yaml(tmp_path)
         scenario = load_scenario(path)

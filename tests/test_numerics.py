@@ -19,7 +19,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import lambertw as scipy_lambertw
 
 from dense_scan import dense_scan_minimize
-from thzplanner import find_root, lambert_w, minimize_scalar, numerics
+from thzplanner import lambert_w, minimize_scalar, numerics
 from thzplanner.numerics import lambert_w_log, lambert_w_log_lower, min_cost_assignment
 
 BRANCH_POINT = -1.0 / math.e
@@ -424,21 +424,6 @@ class TestFalsePosition:
         a, b = numerics._false_position(g, 0.0, -math.inf, 1.0, 0.9)
         assert min(a, b) <= math.sqrt(0.1) <= max(a, b) and abs(b - a) <= 1e-9
         assert g(a) <= 0.0 <= g(b)
-
-
-class TestFindRoot:
-    def test_simple_root(self):
-        r = find_root(lambda t: t * t - 2.0, 0.0, 2.0, tol=1e-12)
-        assert abs(r - math.sqrt(2.0)) < 1e-11
-
-    def test_requires_sign_change(self):
-        with pytest.raises(ValueError):
-            find_root(lambda t: t * t + 1.0, -1.0, 1.0)
-
-    def test_root_at_endpoint(self):
-        r = find_root(lambda t: t, 0.0, 1.0)
-        assert abs(r) < 1e-12
-
 
 
 class TestMinCostAssignment:

@@ -196,9 +196,10 @@ class TestMinimizeRateThreshold:
     @pytest.mark.parametrize("cut", [1e-5, 1e-4, 1e-3])
     def test_infinite_rates_near_the_run_ends(self, monkeypatch, cut):
         """rate_threshold can return inf without raising, where the rate
-        (mu_m + (w + s) / eps) * L_a overflows.  Double inputs rarely get
-        there, so the region is planted where the margin is tiny against
-        the ceiling: every margin below `cut` gives inf."""
+        (mu_m + (w + s) / eps) * L_a overflows.  Few scenarios get there
+        (test_cli's L_a of 1e306 bits does), so the region is planted where
+        the margin is tiny against the ceiling: every margin below `cut`
+        gives inf."""
         genuine = tp.reliability._genuine_root_rate
 
         def planted(mu_m, offered, diff, eps, bits):
@@ -309,6 +310,30 @@ class TestMinimizeRateThreshold:
             users=(UserProfile(arrival_rate=5.0, local_cpu_hz=2.0e9),),
         )
         assert minimize_rate_threshold(sc, 0) == (0.0, 0.0)
+
+    def test_local_outage_just_above_the_budget_needs_a_link(self):
+        """1 - theta = 1e-15 and a local outage 3% above it.  Phi_l then
+        rounds to a double next to 1, and a reliability-domain test took
+        Phi_l >= theta and planned no link; the margin says otherwise."""
+        task = TaskProfile(mean_job_bits=1.0e6, mean_job_cycles=1.0e7)
+        lam, eps, theta = 10.0, 0.1, 1.0 - 1e-15
+        mu_l = lam - math.log(1.03 * (1.0 - theta)) / eps
+        sc = dataclasses.replace(
+            REF,
+            task=task,
+            edge=EdgeProfile(cpu_hz=1.0e11),
+            qos=QosTarget(delay_s=eps, min_reliability=theta),
+            users=(UserProfile(arrival_rate=lam, local_cpu_hz=mu_l * task.mean_job_cycles),),
+        )
+        user = sc.users[0]
+        assert ceiling_margin(user, task, sc.edge, sc.qos, 1e-6) < 0.0
+        beta, rate = minimize_rate_threshold(sc, 0)
+        assert 0.0 < beta < 1.0 and rate > 0.0
+        assert ceiling_margin(user, task, sc.edge, sc.qos, beta) > 0.0
+        assert rate == pytest.approx(
+            rate_threshold_oracle(user, task, sc.edge, sc.qos, beta), rel=1e-9
+        )
+        assert plan(sc).users[0].status == FEASIBLE
 
     def test_infeasible_everywhere(self):
         sc = tp.strict_scenario()
