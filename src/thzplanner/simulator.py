@@ -23,15 +23,26 @@ Each user keeps only its count of post-warmup jobs within the budget.
 
 Streams are counter-based (Philox) and keyed by (seed, user, stage), so runs
 are bit-reproducible and the two modes consume identical randomness: a
-single-user shared run equals the isolated run exactly.
+single-user shared run equals the isolated run exactly.  A user whose
+share is exactly 0 or 1 draws no offload coin, whose outcome is certain.
 
-numpy is imported inside the functions that draw or queue, so importing
-this module (as the CLI does for plan, sweep and verify) does not load it.
+Isolated users share nothing, so they run at once, on up to one thread per
+CPU the process may use; numpy releases the GIL while it draws, sums and
+compares, which is nearly all of a run.  Every analytic value and warning
+is formed first, on the calling thread, in user order, and the rows come
+back in user order, so the thread count changes no output bit.  The
+shared edge couples its users and runs on one thread.
+
+numpy is imported inside the functions that draw or queue, and the thread
+pool inside the one that runs isolated users, so importing this module (as
+the CLI does for plan, sweep and verify) loads neither.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
@@ -61,7 +72,7 @@ _PH_EDGE = 4
 _N_STAGES = 5
 
 # jobs drawn per stream at a time; memory is set by this, not by n_jobs
-_CHUNK = 1 << 15
+_CHUNK = 1 << 14
 
 _NO_ARRIVALS = "user {}: no arrivals (lambda = 0); not simulated"
 
@@ -78,6 +89,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.mode not in (ISOLATED, SHARED_EDGE):
             raise ValueError(f"mode must be {ISOLATED!r} or {SHARED_EDGE!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.warmup < 0:
             raise ValueError("warmup must be nonnegative")
         if self.n_jobs < 10 * max(self.warmup, 1):
@@ -233,16 +246,21 @@ class _Source:
         np.cumsum(arrivals, out=arrivals)
         arrivals = arrivals[1:]
         self.last = arrivals[-1]
-        offloaded = streams[_PH_OFFLOAD].random(m) < self.beta
-
-        kept = ~offloaded
-        n_warm = int(np.count_nonzero(kept[:cut]))
-        local = arrivals[kept]
+        # at share 0 or 1 the coin is certain (random() < 1.0 always holds,
+        # < 0.0 never), and its stream feeds nothing else: draw no coin
+        if self.beta == 1.0:
+            local, off_arrivals, n_warm = arrivals[:0], arrivals, 0
+        elif self.beta == 0.0:
+            local, off_arrivals, n_warm = arrivals, arrivals[:0], cut
+        else:
+            offloaded = streams[_PH_OFFLOAD].random(m) < self.beta
+            kept = ~offloaded
+            n_warm = int(np.count_nonzero(kept[:cut]))
+            local, off_arrivals = arrivals[kept], arrivals[offloaded]
         if local.size:
             services = streams[_PH_LOCAL].exponential(1.0 / self.mu_l, local.size)
             local = self.local.sojourn(local, services)
 
-        off_arrivals = arrivals[offloaded]
         n_off = off_arrivals.size
         if n_off:
             tx_services = streams[_PH_TX].exponential(1.0 / self.tx_rate, n_off)
@@ -283,13 +301,15 @@ def _merge(pending: List[np.ndarray], bound: float) -> Tuple[np.ndarray, List[np
 
 
 def _simulate_group(
-    group: List[_Source], qos: QosTarget, cfg: SimConfig
+    group: List[_Source], qos: QosTarget, cfg: SimConfig,
+    stop: Optional[threading.Event] = None,
 ) -> List[SimUserReport]:
     """Run every user of group through one shared edge queue.
 
     The user with the lowest bound draws next, and every draw is followed
     by a release up to the lowest bound, so no user holds much more than
-    one chunk of pending jobs, whatever the spread of arrival rates.
+    one chunk of pending jobs, whatever the spread of arrival rates.  Once
+    stop is set the run ends at its next draw and returns no rows.
     """
     import numpy as np
 
@@ -298,6 +318,8 @@ def _simulate_group(
     n_ok = np.zeros(len(group), dtype=np.int64)
     bounds = [src.bound for src in group]
     while True:
+        if stop is not None and stop.is_set():
+            return []
         bound = min(bounds)
         if bound < math.inf:
             k = bounds.index(bound)
@@ -336,6 +358,37 @@ def _simulate_group(
             n_effective=n_eff,
         ))
     return rows
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _simulate_each(
+    sources: List[_Source], qos: QosTarget, cfg: SimConfig
+) -> List[SimUserReport]:
+    """Run each source against its own edge queue, at once on up to one
+    thread per available CPU; rows in source order.
+
+    When a source raises, or the caller is interrupted, the sources not
+    yet started are cancelled and those running stop at their next chunk.
+    """
+    workers = min(_cpus(), len(sources))
+    if workers <= 1:
+        return [_simulate_group([src], qos, cfg)[0] for src in sources]
+    from concurrent.futures import ThreadPoolExecutor
+
+    stop = threading.Event()
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        futures = [pool.submit(_simulate_group, [src], qos, cfg, stop) for src in sources]
+        return [future.result()[0] for future in futures]
+    finally:
+        stop.set()
+        pool.shutdown(cancel_futures=True)
 
 
 def simulate_user(
@@ -384,24 +437,27 @@ def simulate_system(
         raise ValueError("one (beta, rate) pair per user required")
 
     if cfg.mode == ISOLATED:
-        rows: List[SimUserReport] = []
+        # every source is built here, in user order, so the analytic values
+        # and the warnings stay on this thread; only the draws run in workers
+        slots: List[object] = []  # a _Source, or an unstable user's row
         warnings: List[str] = []
         for row, (b, r) in zip(p.users, pairs):
             try:
-                rep = simulate_user(
-                    scenario.users[row.user_id], task, edge, b, r, qos, cfg,
-                    user_id=row.user_id,
-                )
+                src = _Source(0, row.user_id, scenario.users[row.user_id], task, edge,
+                              b, r, qos.delay_s, cfg)
             except StabilityError as exc:
                 # unstable queue: long-run within-budget fraction is zero
                 warnings.append(str(exc))
-                rep = SimUserReport(
+                slots.append(SimUserReport(
                     row.user_id, b, r, analytic=0.0, empirical=math.nan,
                     ci_radius=math.nan, n_effective=0,
-                )
-            if rep.no_arrivals:
-                warnings.append(_NO_ARRIVALS.format(rep.user_id))
-            rows.append(rep)
+                ))
+                continue
+            if not src.lam > 0.0:
+                warnings.append(_NO_ARRIVALS.format(row.user_id))
+            slots.append(src)
+        done = iter(_simulate_each([s for s in slots if isinstance(s, _Source)], qos, cfg))
+        rows = [next(done) if isinstance(s, _Source) else s for s in slots]
         return SimReport(mode=cfg.mode, seed=cfg.seed, n_jobs=cfg.n_jobs,
                          users=tuple(rows), warnings=tuple(warnings))
 

@@ -509,6 +509,18 @@ class TestSimulateCommand:
         assert rc == 1
         assert "warmup" in capsys.readouterr().err
 
+    def test_negative_seed_exits_1_before_planning(self, tmp_path, capsys, monkeypatch):
+        def no_plan(*args):
+            raise AssertionError("planned before the seed was checked")
+
+        monkeypatch.setattr(cli, "plan", no_plan)
+        rc = cli.main([
+            "simulate", SINGLE, "--seed", "-1", "-o", str(tmp_path / "x.csv"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: seed must be nonnegative\n"
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestVerifyCommand:
     def test_single_user_scenario_passes(self, capsys):
@@ -638,7 +650,8 @@ class TestTopLevel:
         assert tp.__version__ in capsys.readouterr().out
 
     def test_numpy_loads_only_for_simulate(self, tmp_path):
-        """plan, sweep and verify never import numpy; simulate does.
+        """plan, sweep and verify import neither numpy nor the thread
+        pool; simulate imports numpy.
 
         Runs in a fresh interpreter, since this one has numpy loaded."""
         script = f"""
@@ -648,7 +661,7 @@ out = {str(tmp_path / "out.csv")!r}
 assert cli.main(["plan", {SINGLE!r}, "-o", out]) == 0
 assert cli.main(["sweep", {SINGLE!r}, "--axis", "f_m", "--values", "2e10", "-o", out]) == 0
 assert cli.main(["verify", {SINGLE!r}]) == 0
-loaded = ["numpy" in sys.modules]
+loaded = ["numpy" in sys.modules, "concurrent.futures" in sys.modules]
 assert cli.main(["simulate", {SINGLE!r}, "--jobs", "2000", "-o", out]) == 0
 loaded.append("numpy" in sys.modules)
 print(loaded)
@@ -659,4 +672,4 @@ print(loaded)
             capture_output=True, text=True, timeout=120,
         )
         assert res.returncode == 0, res.stderr
-        assert res.stdout.splitlines()[-1] == "[False, True]"
+        assert res.stdout.splitlines()[-1] == "[False, False, True]"

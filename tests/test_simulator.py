@@ -8,7 +8,9 @@ single run is compared against that radius.
 """
 
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,7 +33,7 @@ from thzplanner import (
     system_reliability,
 )
 from thzplanner.scenario_io import load_scenario
-from thzplanner.simulator import _merge, _Queue, _Source
+from thzplanner.simulator import _merge, _Queue, _simulate_group, _Source
 
 REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" / "reference_k10.yaml"
 
@@ -49,6 +51,11 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(n_jobs=1000, warmup=500)  # needs n_jobs >= 10x warmup
         SimConfig(n_jobs=1000, warmup=100)
+
+    def test_seed_nonnegative(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            SimConfig(seed=-1)
+        SimConfig(seed=0)
 
 
 def mm1_within(lam, mu, eps, cfg):
@@ -194,6 +201,51 @@ class TestTraceStreams:
         tiny_edge = EdgeProfile(cpu_hz=1.5e8)  # mu_m = 15 < 0.9 * 20
         with pytest.raises(StabilityError, match="edge queue"):
             _Source(0, 0, user, TASK, tiny_edge, 0.9, 2.0e9, 0.1, cfg)
+
+
+class TestOffloadCoin:
+    """At share 0 or 1 every job's route is certain: no coin is drawn, and
+    the draws equal those of a coin that always lands the same way."""
+
+    USER = UserProfile(arrival_rate=20.0, local_cpu_hz=1.0e9)
+    EDGE = EdgeProfile(cpu_hz=1.0e9)
+    CFG = SimConfig(n_jobs=40_000, warmup=400, seed=3)
+
+    @staticmethod
+    def no_coin(monkeypatch):
+        real = tp.simulator._stream
+
+        class NoCoin:
+            def random(self, *args):
+                raise AssertionError("offload coin drawn")
+
+        def stream(seed, user_id, stage):
+            return NoCoin() if stage == tp.simulator._PH_OFFLOAD else real(seed, user_id, stage)
+
+        monkeypatch.setattr(tp.simulator, "_stream", stream)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_certain_share_draws_no_coin(self, monkeypatch, beta):
+        qos = QosTarget(delay_s=0.1, min_reliability=0.9)
+        expect = simulate_user(self.USER, TASK, self.EDGE, beta, 2.0e9, qos, self.CFG)
+        self.no_coin(monkeypatch)
+        assert simulate_user(self.USER, TASK, self.EDGE, beta, 2.0e9, qos, self.CFG) == expect
+
+    def test_interior_share_draws_the_coin(self, monkeypatch):
+        self.no_coin(monkeypatch)
+        source = _Source(0, 0, self.USER, TASK, self.EDGE, 0.5, 2.0e9, 0.1, self.CFG)
+        with pytest.raises(AssertionError, match="offload coin drawn"):
+            source.draw()
+
+    # a share just past 1 or 0 takes the coin path with a coin that always
+    # lands the same way: random() is in [0, 1)
+    @pytest.mark.parametrize("beta, coin_beta", [(1.0, 1.0 + 2.0**-52), (0.0, -5e-324)])
+    def test_draws_equal_a_certain_coin(self, beta, coin_beta):
+        skip = _Source(0, 0, self.USER, TASK, self.EDGE, beta, 2.0e9, 0.1, self.CFG)
+        coin = _Source(0, 0, self.USER, TASK, self.EDGE, beta, 2.0e9, 0.1, self.CFG)
+        coin.beta = coin_beta
+        assert np.array_equal(drain(skip), drain(coin))
+        assert np.array_equal(skip.pending, coin.pending)
 
 
 class TestMerge:
@@ -388,6 +440,119 @@ class TestSimulateSystem:
         p = tp.plan(sc)
         with pytest.raises(ValueError, match="one \\(beta, rate\\) pair per user"):
             simulate_system(p, sc, SimConfig(n_jobs=10_000, warmup=100), overrides=[])
+
+
+class TestThreads:
+    """Isolated users run on worker threads with the rows, the warnings and
+    every bit of one serial pass."""
+
+    @staticmethod
+    def idle_then_overloaded():
+        """An idle user 0, then the reference users from 23 jobs/s down to
+        7; forced offloading overloads every private edge queue with
+        lambda >= 10, so users 1-7."""
+        sc = tp.reference_scenario()
+        idle = UserProfile(arrival_rate=0.0, local_cpu_hz=5.0e8)
+        sc = replace(sc, users=(idle,) + sc.users[:0:-1])
+        p = tp.plan(sc)
+        tiny = tp.apply_axis(sc, "f_m_cycles_per_s", 1.0e8)  # mu_m = 10 jobs/s
+        return p, tiny, [(1.0, row.rate_bps) for row in p.users]
+
+    @staticmethod
+    def serial(p, sc, cfg, overrides):
+        rows, warnings = [], []
+        for row, (b, r) in zip(p.users, overrides):
+            try:
+                rep = simulate_user(sc.users[row.user_id], sc.task, sc.edge, b, r, sc.qos,
+                                    cfg, user_id=row.user_id)
+            except StabilityError as exc:
+                warnings.append(str(exc))
+                rep = tp.SimUserReport(row.user_id, b, r, analytic=0.0, empirical=math.nan,
+                                       ci_radius=math.nan, n_effective=0)
+            if rep.no_arrivals:
+                warnings.append(f"user {rep.user_id}: no arrivals (lambda = 0); not simulated")
+            rows.append(rep)
+        return tp.SimReport(ISOLATED, cfg.seed, cfg.n_jobs, tuple(rows), tuple(warnings))
+
+    @pytest.mark.parametrize("cpus", [None, 1, 2])
+    def test_equals_one_serial_pass(self, monkeypatch, cpus):
+        p, sc, overrides = self.idle_then_overloaded()
+        cfg = SimConfig(n_jobs=40_000, warmup=400, seed=7)
+        expect = self.serial(p, sc, cfg, overrides)
+        assert expect.warnings[0] == "user 0: no arrivals (lambda = 0); not simulated"
+        assert "user 1: edge queue unstable" in expect.warnings[1]
+        if cpus is not None:
+            monkeypatch.setattr(tp.simulator, "_cpus", lambda: cpus)
+        got = simulate_system(p, sc, cfg, overrides=overrides)
+        assert got == expect
+        assert got.users[9].n_effective == 39_600  # stable users did run
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_analytics_on_the_calling_thread(self, monkeypatch, cpus):
+        """system_reliability runs on the caller's thread, once per user;
+        the draws run in workers only when there is more than one CPU."""
+        seen = {"analytic": [], "draws": []}
+        real_reliability = tp.simulator.system_reliability
+        real_group = tp.simulator._simulate_group
+
+        def reliability(*args):
+            seen["analytic"].append(threading.current_thread())
+            return real_reliability(*args)
+
+        def group(*args):
+            seen["draws"].append(threading.current_thread())
+            return real_group(*args)
+
+        monkeypatch.setattr(tp.simulator, "system_reliability", reliability)
+        monkeypatch.setattr(tp.simulator, "_simulate_group", group)
+        monkeypatch.setattr(tp.simulator, "_cpus", lambda: cpus)
+        sc = tp.reference_scenario()
+        simulate_system(tp.plan(sc), sc, SimConfig(n_jobs=10_000, warmup=100, seed=1))
+        main = threading.main_thread()
+        assert seen["analytic"] == [main] * 10
+        assert len(seen["draws"]) == 10
+        assert all((t is main) == (cpus == 1) for t in seen["draws"])
+
+    def test_worker_error_cancels_the_rest(self, monkeypatch):
+        """User 0 raises; the users in flight beside it are held until the
+        pool is shut down and are told to stop, and no user queued behind
+        them starts."""
+        started, stopped = [], []
+        released = threading.Event()
+        real_shutdown = ThreadPoolExecutor.shutdown
+
+        def shutdown(pool, wait=True, *, cancel_futures=False):
+            real_shutdown(pool, wait=False, cancel_futures=cancel_futures)
+            released.set()
+            real_shutdown(pool, wait=wait, cancel_futures=cancel_futures)
+
+        def group(sources, qos, cfg, stop):
+            started.append(sources[0].user_id)
+            if sources[0].user_id == 0:
+                raise RuntimeError("boom")
+            assert released.wait(30.0)
+            stopped.append(stop.is_set())
+            return [None]
+
+        monkeypatch.setattr(ThreadPoolExecutor, "shutdown", shutdown)
+        monkeypatch.setattr(tp.simulator, "_simulate_group", group)
+        monkeypatch.setattr(tp.simulator, "_cpus", lambda: 2)
+        sc = tp.reference_scenario()
+        with pytest.raises(RuntimeError, match="boom"):
+            simulate_system(tp.plan(sc), sc, SimConfig(n_jobs=10_000, warmup=100))
+        # user 0's worker may take one more user before the pool shuts down
+        assert {0, 1} <= set(started) <= {0, 1, 2}
+        assert stopped and all(stopped)
+
+    def test_stopped_run_draws_nothing(self):
+        stop = threading.Event()
+        stop.set()
+        cfg = SimConfig(n_jobs=10_000, warmup=100)
+        user = UserProfile(arrival_rate=20.0, local_cpu_hz=1.0e9)
+        src = _Source(0, 0, user, TASK, EdgeProfile(cpu_hz=1.0e9), 0.5, 2.0e9, 0.1, cfg)
+        qos = QosTarget(delay_s=0.1, min_reliability=0.9)
+        assert _simulate_group([src], qos, cfg, stop) == []
+        assert src.left == cfg.n_jobs
 
 
 class TestChunking:
