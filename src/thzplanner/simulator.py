@@ -31,11 +31,16 @@ CPU the process may use; numpy releases the GIL while it draws, sums and
 compares, which is nearly all of a run.  Every analytic value and warning
 is formed first, on the calling thread, in user order, and the rows come
 back in user order, so the thread count changes no output bit.  The
-shared edge couples its users and runs on one thread.
+users of a shared edge couple only through its queue, and the order of
+their draws depends on the draws alone (the user with the lowest bound
+draws next), so one producer thread draws every user's chunks, one chunk
+ahead, while the calling thread runs the edge queue: numpy releases the
+GIL for nearly all of both.  With one user or one CPU the same schedule
+is drawn in place.
 
-numpy is imported inside the functions that draw or queue, and the thread
-pool inside the one that runs isolated users, so importing this module (as
-the CLI does for plan, sweep and verify) loads neither.
+numpy, the thread pool and the queue are imported inside the functions
+that use them, so importing this module (as the CLI does for plan, sweep
+and verify) loads none of them.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 from .optimizer import INFEASIBLE, Plan, Scenario
 from .reliability import (
@@ -186,8 +191,8 @@ class _Source:
     """One user's job stream, drawn _CHUNK jobs at a time.
 
     Jobs kept local go straight through the local queue.  Offloaded jobs
-    go through the transmission queue and then wait for the edge queue in
-    ``pending``, one column per job with rows (transmission departure, edge
+    go through the transmission queue and are handed on for the edge
+    queue, one column per job with rows (transmission departure, edge
     service, arrival, tag); the tag is the user's slot in its group, or -1
     for a warmup job.
     """
@@ -207,8 +212,6 @@ class _Source:
         """Takes the analytic reliability before opening any stream, so an
         unstable queue (the edge against this user's load alone) raises
         StabilityError first.  A user without arrivals draws no job."""
-        import numpy as np
-
         lam = user.arrival_rate
         try:
             self.analytic = system_reliability(user, task, edge, beta, rate_bps, delay_s)
@@ -224,15 +227,19 @@ class _Source:
         self.skip = cfg.warmup  # warmup jobs still to draw
         self.last = 0.0  # arrival time of the last job drawn
         self.local, self.tx = _Queue(), _Queue()
-        self.pending = np.empty((4, 0))
 
     @property
     def bound(self) -> float:
         """No transmission drawn later departs before this time."""
         return self.last if self.left else math.inf
 
-    def draw(self) -> np.ndarray:
-        """Draw the next chunk; returns its post-warmup local sojourn times."""
+    def draw(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Draw the next chunk; returns its post-warmup local sojourn times
+        and its offloaded jobs (see the class), stably sorted on departure.
+
+        Each array is dropped once used, so a draw holds little more than
+        it returns: on a producer thread, its peak adds to the edge queue's.
+        """
         import numpy as np
 
         m = min(_CHUNK, self.left)
@@ -257,25 +264,27 @@ class _Source:
             kept = ~offloaded
             n_warm = int(np.count_nonzero(kept[:cut]))
             local, off_arrivals = arrivals[kept], arrivals[offloaded]
+        del arrivals
         if local.size:
-            services = streams[_PH_LOCAL].exponential(1.0 / self.mu_l, local.size)
-            local = self.local.sojourn(local, services)
+            local = self.local.sojourn(
+                local, streams[_PH_LOCAL].exponential(1.0 / self.mu_l, local.size))
 
         n_off = off_arrivals.size
-        if n_off:
-            tx_services = streams[_PH_TX].exponential(1.0 / self.tx_rate, n_off)
-            jobs = np.empty((4, n_off))
-            np.add(self.tx.sojourn(off_arrivals, tx_services), off_arrivals, out=jobs[0])
-            jobs[1] = streams[_PH_EDGE].exponential(1.0 / self.mu_m, n_off)
-            jobs[2] = off_arrivals
-            jobs[3] = self.slot
-            jobs[3, : cut - n_warm] = -1.0
-            jobs = np.concatenate((self.pending, jobs), axis=1)
-            departures = jobs[0]
-            if np.any(departures[1:] < departures[:-1]):  # FIFO but for rounding
-                jobs = jobs[:, np.argsort(departures, kind="stable")]
-            self.pending = jobs
-        return local[n_warm:]
+        if not n_off:
+            return local[n_warm:], np.empty((4, 0))
+        sojourns = self.tx.sojourn(
+            off_arrivals, streams[_PH_TX].exponential(1.0 / self.tx_rate, n_off))
+        jobs = np.empty((4, n_off))
+        np.add(sojourns, off_arrivals, out=jobs[0])
+        del sojourns
+        jobs[1] = streams[_PH_EDGE].exponential(1.0 / self.mu_m, n_off)
+        jobs[2] = off_arrivals
+        jobs[3] = self.slot
+        jobs[3, : cut - n_warm] = -1.0
+        departures = jobs[0]
+        if np.any(departures[1:] < departures[:-1]):  # FIFO but for rounding
+            jobs = np.take(jobs, np.argsort(departures, kind="stable"), axis=1)
+        return local[n_warm:], jobs
 
 
 def _merge(pending: List[np.ndarray], bound: float) -> Tuple[np.ndarray, List[np.ndarray]]:
@@ -296,8 +305,91 @@ def _merge(pending: List[np.ndarray], bound: float) -> Tuple[np.ndarray, List[np
     held = [waiting[:, cut:] for waiting, cut in zip(pending, cuts)]
     if len(runs) < 2:  # at most one sorted run: nothing to merge
         return (runs[0] if runs else np.empty((4, 0))), held
-    jobs = np.concatenate(runs, axis=1)
-    return jobs[:, np.argsort(jobs[0], kind="stable")], held
+    # gathered a row at a time, so at most one row is held twice
+    departures = np.concatenate([run[0] for run in runs])
+    order = np.argsort(departures, kind="stable")
+    jobs = np.empty((4, order.size))
+    np.take(departures, order, out=jobs[0])
+    del departures
+    for row in range(1, 4):
+        np.take(np.concatenate([run[row] for run in runs]), order, out=jobs[row])
+    return jobs, held
+
+
+def _schedule(
+    group: List[_Source], delay: float, stop: Optional[threading.Event]
+) -> Iterator[Tuple[int, int, np.ndarray, float]]:
+    """Draw group's chunks in the one order a run has: the user with the
+    lowest bound draws next.  Yields per draw the user's slot, its count of
+    post-warmup local sojourns within delay, its offloaded jobs and the
+    lowest bound after the draw.  The order depends on the draws alone, so
+    any thread may run this and yield the same items.  Once stop is set it
+    ends before its next draw."""
+    import numpy as np
+
+    def draw(k: int) -> Tuple[int, int, np.ndarray, float]:
+        local, jobs = group[k].draw()
+        bounds[k] = group[k].bound
+        return k, int(np.count_nonzero(local <= delay)), jobs, min(bounds)
+
+    bounds = [src.bound for src in group]
+    while stop is None or not stop.is_set():
+        bound = min(bounds)
+        if bound == math.inf:
+            return
+        # yielded as drawn: no name here keeps a chunk alive past its use
+        yield draw(bounds.index(bound))
+
+
+def _ahead(items: Iterator) -> Iterator:
+    """Yield items as a producer thread takes them from the iterator.
+
+    The producer hands them over through a box of one item, so it runs at
+    most one item ahead of the box.  The producer's exception is raised
+    here.  When this generator ends early (closed, or interrupted while it
+    waits), the producer stops at its next item, and it is joined before
+    this generator returns.
+    """
+    import queue
+
+    box: queue.Queue = queue.Queue(maxsize=1)
+    halt = threading.Event()
+
+    def produce() -> None:
+        end: BaseException = StopIteration()  # the items ran out
+        try:
+            for item in items:
+                box.put(item)
+                del item  # the consumer's now: hold it no longer
+                if halt.is_set():
+                    break
+        except BaseException as exc:  # raised again on the consuming thread
+            end = exc
+        box.put(end)
+
+    producer = threading.Thread(target=produce, daemon=True)
+    producer.start()
+    end: List[BaseException] = []
+
+    def take() -> object:
+        item = box.get()
+        if isinstance(item, BaseException):
+            end.append(item)
+            return None
+        return item
+
+    try:
+        # yield from keeps no name here bound to an item once it is yielded
+        yield from iter(take, None)
+        if not isinstance(end[0], StopIteration):
+            raise end[0]
+    finally:
+        # the producer puts at most one item after halt, then its end:
+        # take both, so no put of it stays blocked on a full box
+        halt.set()
+        while not end:
+            take()
+        producer.join()
 
 
 def _simulate_group(
@@ -306,36 +398,47 @@ def _simulate_group(
 ) -> List[SimUserReport]:
     """Run every user of group through one shared edge queue.
 
-    The user with the lowest bound draws next, and every draw is followed
-    by a release up to the lowest bound, so no user holds much more than
-    one chunk of pending jobs, whatever the spread of arrival rates.  Once
-    stop is set the run ends at its next draw and returns no rows.
+    Every draw is followed by a release up to the lowest bound, so no user
+    holds much more than one chunk of pending jobs, whatever the spread of
+    arrival rates.  With more than one user and more than one CPU the
+    draws run on a producer thread one chunk ahead, while this thread
+    runs the edge queue; numpy releases the GIL for nearly all of both.
+    Once stop is set the run ends at its next draw and returns no rows.
     """
     import numpy as np
 
     delay = qos.delay_s
     edge = _Queue()
     n_ok = np.zeros(len(group), dtype=np.int64)
-    bounds = [src.bound for src in group]
-    while True:
-        if stop is not None and stop.is_set():
-            return []
-        bound = min(bounds)
-        if bound < math.inf:
-            k = bounds.index(bound)
-            n_ok[k] += np.count_nonzero(group[k].draw() <= delay)
-            bounds[k] = group[k].bound
-            bound = min(bounds)
-        jobs, held = _merge([src.pending for src in group], bound)
-        for src, waiting in zip(group, held):
-            src.pending = waiting
-        done = edge.sojourn(jobs[0], jobs[1])
-        done += jobs[0]
-        done -= jobs[2]
-        tags = jobs[3, done <= delay]
-        n_ok += np.bincount(tags[tags >= 0].astype(np.intp), minlength=len(group))
-        if bound == math.inf:
-            break
+    pending = [np.empty((4, 0))] * len(group)  # each user's jobs, by departure
+    draws = _schedule(group, delay, stop)
+    if len(group) > 1 and _cpus() > 1:
+        draws = _ahead(draws)
+    try:
+        for k, ok, jobs, bound in draws:
+            n_ok[k] += ok
+            if jobs.shape[1]:
+                # copied even when no jobs wait, so no chunk stays pending
+                # in the buffer a producer thread drew it in: such buffers
+                # kept that thread's malloc arena (glibc) large, and peak
+                # RSS about 5 MB higher
+                waiting = pending[k]
+                jobs = np.concatenate((waiting, jobs), axis=1)
+                # both runs are stably sorted, so a stable sort of the two
+                # joined orders them as one sort of the user's whole run
+                if waiting.shape[1] and jobs[0, waiting.shape[1]] < waiting[0, -1]:
+                    jobs = np.take(jobs, np.argsort(jobs[0], kind="stable"), axis=1)
+                pending[k] = jobs
+            released, pending = _merge(pending, bound)
+            done = edge.sojourn(released[0], released[1])
+            done += released[0]
+            done -= released[2]
+            tags = released[3, done <= delay]
+            n_ok += np.bincount(tags[tags >= 0].astype(np.intp), minlength=len(group))
+    finally:
+        draws.close()
+    if stop is not None and stop.is_set():
+        return []
 
     n_eff = cfg.n_jobs - cfg.warmup
     rows = []

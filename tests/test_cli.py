@@ -651,7 +651,7 @@ class TestTopLevel:
 
     def test_numpy_loads_only_for_simulate(self, tmp_path):
         """plan, sweep and verify import neither numpy nor the thread
-        pool; simulate imports numpy.
+        pool nor the queue; simulate imports numpy.
 
         Runs in a fresh interpreter, since this one has numpy loaded."""
         script = f"""
@@ -661,7 +661,7 @@ out = {str(tmp_path / "out.csv")!r}
 assert cli.main(["plan", {SINGLE!r}, "-o", out]) == 0
 assert cli.main(["sweep", {SINGLE!r}, "--axis", "f_m", "--values", "2e10", "-o", out]) == 0
 assert cli.main(["verify", {SINGLE!r}]) == 0
-loaded = ["numpy" in sys.modules, "concurrent.futures" in sys.modules]
+loaded = [name in sys.modules for name in ("numpy", "concurrent.futures", "queue")]
 assert cli.main(["simulate", {SINGLE!r}, "--jobs", "2000", "-o", out]) == 0
 loaded.append("numpy" in sys.modules)
 print(loaded)
@@ -672,4 +672,4 @@ print(loaded)
             capture_output=True, text=True, timeout=120,
         )
         assert res.returncode == 0, res.stderr
-        assert res.stdout.splitlines()[-1] == "[False, False, True]"
+        assert res.stdout.splitlines()[-1] == "[False, False, False, True]"

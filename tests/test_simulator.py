@@ -9,6 +9,7 @@ single run is compared against that radius.
 
 import math
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -148,12 +149,16 @@ class TestLindley:
 
 
 def drain(source):
-    """Draw every chunk of source without releasing its offloaded jobs;
-    returns the post-warmup local sojourn times."""
-    local = []
+    """Draw every chunk of source; returns the post-warmup local sojourn
+    times and the offloaded jobs, each in draw order.  Each chunk's jobs
+    come sorted on departure."""
+    local, offloaded = [], []
     while source.left:
-        local.append(source.draw())
-    return np.concatenate(local)
+        times, jobs = source.draw()
+        assert np.all(jobs[0, 1:] >= jobs[0, :-1])
+        local.append(times)
+        offloaded.append(jobs)
+    return np.concatenate(local), np.concatenate(offloaded, axis=1)
 
 
 class TestTraceStreams:
@@ -164,8 +169,7 @@ class TestTraceStreams:
         edge = EdgeProfile(cpu_hz=1.0e9)
         cfg = SimConfig(n_jobs=40_000, warmup=400, seed=3)
         source = _Source(0, 0, user, TASK, edge, 0.5, 2.0e9, 0.1, cfg)
-        drain(source)
-        gaps = np.diff(np.sort(source.pending[2]))
+        gaps = np.diff(np.sort(drain(source)[1][2]))
         # 1% critical value; n ~ 20000 thinned jobs
         res = stats.kstest(gaps, "expon", args=(0.0, 1.0 / (0.5 * 20.0)))
         assert res.pvalue > 0.01
@@ -175,8 +179,7 @@ class TestTraceStreams:
         edge = EdgeProfile(cpu_hz=1.0e9)
         cfg = SimConfig(n_jobs=10_000, warmup=100, seed=3)
         source = _Source(0, 0, user, TASK, edge, 0.3, 2.0e9, 0.1, cfg)
-        local = drain(source)
-        offloaded = source.pending
+        local, offloaded = drain(source)
         assert local.size + np.count_nonzero(offloaded[3] >= 0) == 10_000 - 100
         assert np.all(np.isfinite(local)) and np.all(np.isfinite(offloaded))
 
@@ -244,8 +247,8 @@ class TestOffloadCoin:
         skip = _Source(0, 0, self.USER, TASK, self.EDGE, beta, 2.0e9, 0.1, self.CFG)
         coin = _Source(0, 0, self.USER, TASK, self.EDGE, beta, 2.0e9, 0.1, self.CFG)
         coin.beta = coin_beta
-        assert np.array_equal(drain(skip), drain(coin))
-        assert np.array_equal(skip.pending, coin.pending)
+        for got, expect in zip(drain(skip), drain(coin)):
+            assert np.array_equal(got, expect)
 
 
 class TestMerge:
@@ -553,6 +556,124 @@ class TestThreads:
         qos = QosTarget(delay_s=0.1, min_reliability=0.9)
         assert _simulate_group([src], qos, cfg, stop) == []
         assert src.left == cfg.n_jobs
+
+
+class TestProducer:
+    """A shared edge of more than one user draws on a producer thread, one
+    chunk ahead of the edge queue, with every bit of drawing in place; the
+    producer never outlives the run."""
+
+    CFG = SimConfig(n_jobs=40_000, warmup=400, seed=9, mode=SHARED_EDGE)
+
+    @staticmethod
+    def uneven():
+        """An idle user, then shares 0.5, 0, 1 and 0.5 at 4, 2, 40 and 0.2
+        jobs/s: one chunk of the slowest user spans 200 of the fastest's,
+        and the user at share 0 offloads nothing."""
+        sc = tp.reference_scenario()
+        rates = (0.0, 4.0, 2.0, 40.0, 0.2)
+        sc = replace(sc, users=tuple(UserProfile(arrival_rate=lam, local_cpu_hz=1.0e9)
+                                     for lam in rates))
+        p = tp.plan(sc)
+        overrides = [(b, 2.0e9) for b in (0.5, 0.5, 0.0, 1.0, 0.5)]
+        return p, sc, overrides
+
+    @staticmethod
+    def record_draws(monkeypatch):
+        """Patch _Source.draw to log (thread, user id) per draw."""
+        log = []
+        real = _Source.draw
+
+        def draw(src):
+            log.append((threading.current_thread(), src.user_id))
+            return real(src)
+
+        monkeypatch.setattr(_Source, "draw", draw)
+        return log
+
+    @pytest.mark.parametrize("chunk", [1000, 4096])
+    def test_threads_change_no_bit(self, monkeypatch, chunk):
+        p, sc, overrides = self.uneven()
+        monkeypatch.setattr(tp.simulator, "_CHUNK", chunk)
+        log = self.record_draws(monkeypatch)
+        reports = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(tp.simulator, "_cpus", lambda cpus=cpus: cpus)
+            reports.append(simulate_system(p, sc, self.CFG, overrides=overrides))
+        assert reports[0] == reports[1]
+        assert [row.no_arrivals for row in reports[0].users] == [True] + [False] * 4
+        # the same draws, in place and then on one producer thread
+        main = threading.main_thread()
+        half = len(log) // 2
+        assert [u for _, u in log[:half]] == [u for _, u in log[half:]]
+        assert {t for t, _ in log[:half]} == {main}
+        assert len({t for t, _ in log[half:]}) == 1 and log[-1][0] is not main
+
+    def test_stopped_run_draws_nothing(self, monkeypatch):
+        monkeypatch.setattr(tp.simulator, "_cpus", lambda: 2)
+        stop = threading.Event()
+        stop.set()
+        cfg = SimConfig(n_jobs=10_000, warmup=100)
+        user = UserProfile(arrival_rate=20.0, local_cpu_hz=1.0e9)
+        group = [_Source(k, k, user, TASK, EdgeProfile(cpu_hz=1.0e9), 0.5, 2.0e9, 0.1, cfg)
+                 for k in range(2)]
+        qos = QosTarget(delay_s=0.1, min_reliability=0.9)
+        before = threading.enumerate()
+        assert _simulate_group(group, qos, cfg, stop) == []
+        assert threading.enumerate() == before
+        assert all(src.left == cfg.n_jobs for src in group)
+
+    def test_producer_error_is_raised_here(self, monkeypatch):
+        """One user's draw raises on its third chunk, on the producer."""
+        p, sc, overrides = self.uneven()
+        real = _Source.draw
+        chunks = []
+
+        def draw(src):
+            if src.user_id == 3:
+                chunks.append(threading.current_thread())
+                if len(chunks) == 3:
+                    raise RuntimeError("third chunk")
+            return real(src)
+
+        monkeypatch.setattr(_Source, "draw", draw)
+        monkeypatch.setattr(tp.simulator, "_CHUNK", 1000)
+        monkeypatch.setattr(tp.simulator, "_cpus", lambda: 2)
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="third chunk"):
+            simulate_system(p, sc, self.CFG, overrides=overrides)
+        assert threading.enumerate() == before
+        assert threading.main_thread() not in chunks
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_caller_error_ends_the_producer(self, monkeypatch, error):
+        """The edge side raises while the producer waits on a full box:
+        the producer draws no chunk after that, and is joined."""
+        p, sc, overrides = self.uneven()
+        log = self.record_draws(monkeypatch)
+        real = tp.simulator._merge
+        merges = []
+
+        def merge(pending, bound):
+            merges.append(threading.current_thread())
+            if len(merges) == 3:
+                # wait until the producer has one chunk in the box and has
+                # begun the next, which it cannot put
+                deadline = time.monotonic() + 30.0
+                while len(log) < 5 and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                raise error("edge")
+            return real(pending, bound)
+
+        monkeypatch.setattr(tp.simulator, "_merge", merge)
+        monkeypatch.setattr(tp.simulator, "_CHUNK", 1000)
+        monkeypatch.setattr(tp.simulator, "_cpus", lambda: 2)
+        before = threading.enumerate()
+        with pytest.raises(error, match="edge"):
+            simulate_system(p, sc, self.CFG, overrides=overrides)
+        assert threading.enumerate() == before
+        assert set(merges) == {threading.main_thread()}
+        assert len(log) == 5  # of 160 in the whole run
 
 
 class TestChunking:
