@@ -20,6 +20,9 @@ service, C_n and min C_k) from chunk to chunk, and the sums run left to
 right over [carry, chunk], so every value has the operands, in the order,
 of one pass over the whole run: the chunk size changes no output bit.
 Each user keeps only its count of post-warmup jobs within the budget.
+Offloaded jobs travel as three arrays stably sorted on departure (departure,
+edge service, arrival) and a boolean mark of their warmup jobs, None if
+none, that goes with them through every sort and merge.
 
 Streams are counter-based (Philox) and keyed by (seed, user, stage), so runs
 are bit-reproducible and the two modes consume identical randomness: a
@@ -64,6 +67,7 @@ from .reliability import (
 
 if TYPE_CHECKING:
     import numpy as np
+    _Jobs = Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]
 
 ISOLATED = "isolated"
 SHARED_EDGE = "shared_edge"
@@ -192,14 +196,11 @@ class _Source:
 
     Jobs kept local go straight through the local queue.  Offloaded jobs
     go through the transmission queue and are handed on for the edge
-    queue, one column per job with rows (transmission departure, edge
-    service, arrival, tag); the tag is the user's slot in its group, or -1
-    for a warmup job.
+    queue as the arrays and mark of the module docstring.
     """
 
     def __init__(
         self,
-        slot: int,
         user_id: int,
         user: UserProfile,
         task: TaskProfile,
@@ -218,7 +219,7 @@ class _Source:
         except StabilityError as exc:
             raise StabilityError(f"user {user_id}: {exc}") from exc
 
-        self.slot, self.user_id = slot, user_id
+        self.user_id = user_id
         self.beta, self.rate_bps = beta, rate_bps
         self.lam, self.mu_l = lam, user.local_service_rate(task)
         self.tx_rate, self.mu_m = rate_bps / task.mean_job_bits, edge.service_rate(task)
@@ -233,7 +234,7 @@ class _Source:
         """No transmission drawn later departs before this time."""
         return self.last if self.left else math.inf
 
-    def draw(self) -> Tuple[np.ndarray, np.ndarray]:
+    def draw(self) -> Tuple[np.ndarray, _Jobs]:
         """Draw the next chunk; returns its post-warmup local sojourn times
         and its offloaded jobs (see the class), stably sorted on departure.
 
@@ -263,7 +264,8 @@ class _Source:
             offloaded = streams[_PH_OFFLOAD].random(m) < self.beta
             kept = ~offloaded
             n_warm = int(np.count_nonzero(kept[:cut]))
-            local, off_arrivals = arrivals[kept], arrivals[offloaded]
+            local = np.compress(kept, arrivals)
+            off_arrivals = np.compress(offloaded, arrivals)
         del arrivals
         if local.size:
             local = self.local.sojourn(
@@ -271,54 +273,61 @@ class _Source:
 
         n_off = off_arrivals.size
         if not n_off:
-            return local[n_warm:], np.empty((4, 0))
-        sojourns = self.tx.sojourn(
+            return local[n_warm:], (off_arrivals, off_arrivals, off_arrivals, None)
+        departures = self.tx.sojourn(
             off_arrivals, streams[_PH_TX].exponential(1.0 / self.tx_rate, n_off))
-        jobs = np.empty((4, n_off))
-        np.add(sojourns, off_arrivals, out=jobs[0])
-        del sojourns
-        jobs[1] = streams[_PH_EDGE].exponential(1.0 / self.mu_m, n_off)
-        jobs[2] = off_arrivals
-        jobs[3] = self.slot
-        jobs[3, : cut - n_warm] = -1.0
-        departures = jobs[0]
+        departures += off_arrivals
+        # the first offloaded jobs of the first chunks are warmup jobs
+        warm = np.arange(n_off) < cut - n_warm if cut > n_warm else None
+        jobs = (departures, streams[_PH_EDGE].exponential(1.0 / self.mu_m, n_off),
+                off_arrivals, warm)
         if np.any(departures[1:] < departures[:-1]):  # FIFO but for rounding
-            jobs = np.take(jobs, np.argsort(departures, kind="stable"), axis=1)
+            jobs = _pick(jobs, np.argsort(departures, kind="stable"))
         return local[n_warm:], jobs
 
 
-def _merge(pending: List[np.ndarray], bound: float) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """Release the offloaded jobs whose transmission departs before bound.
+def _pick(jobs: _Jobs, index) -> _Jobs:
+    """The jobs at index, a slice or an order."""
+    return tuple(None if row is None else row[index] for row in jobs)
 
-    pending holds each user's waiting jobs (see _Source), in user order and
-    each stably sorted on departure.  Returns the released jobs in edge
-    order, a stable sort on departure of their user-order concatenation,
-    and each user's jobs held back.  No job drawn later departs before
-    bound, and strict < holds a tie at bound back with the later jobs it
-    may tie with, so successive releases concatenate to one stable sort of
-    every user's whole run.
+
+def _merge(pending: List[List[_Jobs]], bound: float) -> tuple:
+    """Take the jobs whose transmission departs before bound out of pending
+    (each user's waiting runs of offloaded jobs, in user order and drawn
+    order).  Returns their departures, services and arrivals in edge order,
+    a stable sort on departure of their concatenation, with that sort's
+    order (None if it moves no job), and each run's (slot, count, warmup
+    mark).  No job drawn later departs before bound, and strict < holds a
+    tie at bound back with the later jobs it may tie with, so successive
+    releases concatenate to one stable sort of every user's whole run.
     """
     import numpy as np
 
-    cuts = [int(np.searchsorted(waiting[0], bound)) for waiting in pending]
-    runs = [waiting[:, :cut] for waiting, cut in zip(pending, cuts) if cut]
-    held = [waiting[:, cut:] for waiting, cut in zip(pending, cuts)]
-    if len(runs) < 2:  # at most one sorted run: nothing to merge
-        return (runs[0] if runs else np.empty((4, 0))), held
+    runs, spans = [], []
+    for k, waiting in enumerate(pending):
+        for i, jobs in enumerate(waiting):
+            cut = int(np.searchsorted(jobs[0], bound))
+            if cut:
+                runs.append(_pick(jobs, slice(cut)))
+                spans.append((k, cut, runs[-1][3]))
+                waiting[i] = _pick(jobs, slice(cut, None))
+        waiting[:] = [jobs for jobs in waiting if jobs[0].size]
+    rows = list(zip(*runs))[:3] or [[np.empty(0)]] * 3  # each row's runs
+    if all(run[0][0] >= last[0][-1] for last, run in zip(runs, runs[1:])):
+        # in edge order already, as one user's runs are but for rounding
+        return (*(np.concatenate(r) if len(r) > 1 else r[0] for r in rows), None), spans
     # gathered a row at a time, so at most one row is held twice
-    departures = np.concatenate([run[0] for run in runs])
+    departures = np.concatenate(rows[0])
     order = np.argsort(departures, kind="stable")
-    jobs = np.empty((4, order.size))
-    np.take(departures, order, out=jobs[0])
+    released = [np.take(departures, order)]
     del departures
-    for row in range(1, 4):
-        np.take(np.concatenate([run[row] for run in runs]), order, out=jobs[row])
-    return jobs, held
+    released += [np.take(np.concatenate(row), order) for row in rows[1:]]
+    return (*released, order), spans
 
 
 def _schedule(
     group: List[_Source], delay: float, stop: Optional[threading.Event]
-) -> Iterator[Tuple[int, int, np.ndarray, float]]:
+) -> Iterator[Tuple[int, int, _Jobs, float]]:
     """Draw group's chunks in the one order a run has: the user with the
     lowest bound draws next.  Yields per draw the user's slot, its count of
     post-warmup local sojourns within delay, its offloaded jobs and the
@@ -327,7 +336,7 @@ def _schedule(
     ends before its next draw."""
     import numpy as np
 
-    def draw(k: int) -> Tuple[int, int, np.ndarray, float]:
+    def draw(k: int) -> Tuple[int, int, _Jobs, float]:
         local, jobs = group[k].draw()
         bounds[k] = group[k].bound
         return k, int(np.count_nonzero(local <= delay)), jobs, min(bounds)
@@ -410,31 +419,24 @@ def _simulate_group(
     delay = qos.delay_s
     edge = _Queue()
     n_ok = np.zeros(len(group), dtype=np.int64)
-    pending = [np.empty((4, 0))] * len(group)  # each user's jobs, by departure
+    pending: List[List[_Jobs]] = [[] for _ in group]  # each user's runs
     draws = _schedule(group, delay, stop)
     if len(group) > 1 and _cpus() > 1:
         draws = _ahead(draws)
     try:
         for k, ok, jobs, bound in draws:
             n_ok[k] += ok
-            if jobs.shape[1]:
-                # copied even when no jobs wait, so no chunk stays pending
-                # in the buffer a producer thread drew it in: such buffers
-                # kept that thread's malloc arena (glibc) large, and peak
-                # RSS about 5 MB higher
-                waiting = pending[k]
-                jobs = np.concatenate((waiting, jobs), axis=1)
-                # both runs are stably sorted, so a stable sort of the two
-                # joined orders them as one sort of the user's whole run
-                if waiting.shape[1] and jobs[0, waiting.shape[1]] < waiting[0, -1]:
-                    jobs = np.take(jobs, np.argsort(jobs[0], kind="stable"), axis=1)
-                pending[k] = jobs
-            released, pending = _merge(pending, bound)
-            done = edge.sojourn(released[0], released[1])
-            done += released[0]
-            done -= released[2]
-            tags = released[3, done <= delay]
-            n_ok += np.bincount(tags[tags >= 0].astype(np.intp), minlength=len(group))
+            pending[k].append(jobs)  # an empty run is dropped by the merge
+            (departures, services, arrivals, order), spans = _merge(pending, bound)
+            done = edge.sojourn(departures, services)
+            done += departures
+            done -= arrivals
+            ok = done <= delay
+            if order is not None:
+                ok[order] = ok.copy()  # back into the runs' order
+            for slot, n, warm in spans:
+                n_ok[slot] += np.count_nonzero(ok[:n] if warm is None else ok[:n] & ~warm)
+                ok = ok[n:]
     finally:
         draws.close()
     if stop is not None and stop.is_set():
@@ -509,7 +511,7 @@ def simulate_user(
     A user without arrivals is not simulated: its row has no_arrivals set
     and NaN empirical columns.
     """
-    source = _Source(0, user_id, user, task, edge, beta, rate_bps, qos.delay_s, cfg)
+    source = _Source(user_id, user, task, edge, beta, rate_bps, qos.delay_s, cfg)
     return _simulate_group([source], qos, cfg)[0]
 
 
@@ -546,7 +548,7 @@ def simulate_system(
         warnings: List[str] = []
         for row, (b, r) in zip(p.users, pairs):
             try:
-                src = _Source(0, row.user_id, scenario.users[row.user_id], task, edge,
+                src = _Source(row.user_id, scenario.users[row.user_id], task, edge,
                               b, r, qos.delay_s, cfg)
             except StabilityError as exc:
                 # unstable queue: long-run within-budget fraction is zero
@@ -571,11 +573,8 @@ def simulate_system(
         raise StabilityError(
             f"shared edge overloaded: total offered load {load:.6g} >= {mu_m:.6g} jobs/s"
         )
-    group = [
-        _Source(k, row.user_id, scenario.users[row.user_id], task, edge, b, r,
-                qos.delay_s, cfg)
-        for k, (row, (b, r)) in enumerate(zip(p.users, pairs))
-    ]
+    group = [_Source(row.user_id, scenario.users[row.user_id], task, edge, b, r,
+                     qos.delay_s, cfg) for row, (b, r) in zip(p.users, pairs)]
     rows = tuple(_simulate_group(group, qos, cfg))
     warnings = [_NO_ARRIVALS.format(rep.user_id) for rep in rows if rep.no_arrivals]
     return SimReport(mode=cfg.mode, seed=cfg.seed, n_jobs=cfg.n_jobs, users=rows,

@@ -34,7 +34,19 @@ from thzplanner import (
     system_reliability,
 )
 from thzplanner.scenario_io import load_scenario
-from thzplanner.simulator import _merge, _Queue, _simulate_group, _Source
+from thzplanner.simulator import (
+    _N_STAGES,
+    _PH_ARRIVAL,
+    _PH_EDGE,
+    _PH_LOCAL,
+    _PH_OFFLOAD,
+    _PH_TX,
+    _merge,
+    _Queue,
+    _simulate_group,
+    _Source,
+    _stream,
+)
 
 REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" / "reference_k10.yaml"
 
@@ -150,15 +162,18 @@ class TestLindley:
 
 def drain(source):
     """Draw every chunk of source; returns the post-warmup local sojourn
-    times and the offloaded jobs, each in draw order.  Each chunk's jobs
-    come sorted on departure."""
+    times and the offloaded jobs' departures, services, arrivals and
+    warmup marks, each in draw order.  Each chunk's jobs come sorted on
+    departure."""
     local, offloaded = [], []
     while source.left:
-        times, jobs = source.draw()
-        assert np.all(jobs[0, 1:] >= jobs[0, :-1])
+        times, (departures, services, arrivals, warm) = source.draw()
+        assert np.all(departures[1:] >= departures[:-1])
+        if warm is None:
+            warm = np.zeros(departures.size, dtype=bool)
         local.append(times)
-        offloaded.append(jobs)
-    return np.concatenate(local), np.concatenate(offloaded, axis=1)
+        offloaded.append((departures, services, arrivals, warm))
+    return np.concatenate(local), tuple(np.concatenate(rows) for rows in zip(*offloaded))
 
 
 class TestTraceStreams:
@@ -168,7 +183,7 @@ class TestTraceStreams:
         user = UserProfile(arrival_rate=20.0, local_cpu_hz=1.0e9)
         edge = EdgeProfile(cpu_hz=1.0e9)
         cfg = SimConfig(n_jobs=40_000, warmup=400, seed=3)
-        source = _Source(0, 0, user, TASK, edge, 0.5, 2.0e9, 0.1, cfg)
+        source = _Source(0, user, TASK, edge, 0.5, 2.0e9, 0.1, cfg)
         gaps = np.diff(np.sort(drain(source)[1][2]))
         # 1% critical value; n ~ 20000 thinned jobs
         res = stats.kstest(gaps, "expon", args=(0.0, 1.0 / (0.5 * 20.0)))
@@ -178,21 +193,21 @@ class TestTraceStreams:
         user = UserProfile(arrival_rate=20.0, local_cpu_hz=1.0e9)
         edge = EdgeProfile(cpu_hz=1.0e9)
         cfg = SimConfig(n_jobs=10_000, warmup=100, seed=3)
-        source = _Source(0, 0, user, TASK, edge, 0.3, 2.0e9, 0.1, cfg)
+        source = _Source(0, user, TASK, edge, 0.3, 2.0e9, 0.1, cfg)
         local, offloaded = drain(source)
-        assert local.size + np.count_nonzero(offloaded[3] >= 0) == 10_000 - 100
-        assert np.all(np.isfinite(local)) and np.all(np.isfinite(offloaded))
+        assert local.size + np.count_nonzero(~offloaded[3]) == 10_000 - 100
+        assert np.all(np.isfinite(local)) and np.all(np.isfinite(offloaded[:3]))
 
     def test_unstable_queues_refused(self):
         cfg = SimConfig(n_jobs=1000, warmup=10, seed=0)
         edge = EdgeProfile(cpu_hz=1.0e9)
         weak_local = UserProfile(arrival_rate=60.0, local_cpu_hz=5.0e8)  # mu_l = 50
         with pytest.raises(StabilityError):
-            _Source(0, 0, weak_local, TASK, edge, 0.05, 1.0e9, 0.1, cfg)
+            _Source(0, weak_local, TASK, edge, 0.05, 1.0e9, 0.1, cfg)
         user = UserProfile(arrival_rate=20.0, local_cpu_hz=1.0e9)
         with pytest.raises(StabilityError):
             # tx rate 10 jobs/s below the offered 0.9 * 20
-            _Source(0, 0, user, TASK, edge, 0.9, 8.0e7, 0.1, cfg)
+            _Source(0, user, TASK, edge, 0.9, 8.0e7, 0.1, cfg)
 
     def test_edge_overload_refused_before_any_draw(self, monkeypatch):
         def no_draws(*args):
@@ -203,7 +218,7 @@ class TestTraceStreams:
         user = UserProfile(arrival_rate=20.0, local_cpu_hz=1.0e9)
         tiny_edge = EdgeProfile(cpu_hz=1.5e8)  # mu_m = 15 < 0.9 * 20
         with pytest.raises(StabilityError, match="edge queue"):
-            _Source(0, 0, user, TASK, tiny_edge, 0.9, 2.0e9, 0.1, cfg)
+            _Source(0, user, TASK, tiny_edge, 0.9, 2.0e9, 0.1, cfg)
 
 
 class TestOffloadCoin:
@@ -236,7 +251,7 @@ class TestOffloadCoin:
 
     def test_interior_share_draws_the_coin(self, monkeypatch):
         self.no_coin(monkeypatch)
-        source = _Source(0, 0, self.USER, TASK, self.EDGE, 0.5, 2.0e9, 0.1, self.CFG)
+        source = _Source(0, self.USER, TASK, self.EDGE, 0.5, 2.0e9, 0.1, self.CFG)
         with pytest.raises(AssertionError, match="offload coin drawn"):
             source.draw()
 
@@ -244,10 +259,11 @@ class TestOffloadCoin:
     # lands the same way: random() is in [0, 1)
     @pytest.mark.parametrize("beta, coin_beta", [(1.0, 1.0 + 2.0**-52), (0.0, -5e-324)])
     def test_draws_equal_a_certain_coin(self, beta, coin_beta):
-        skip = _Source(0, 0, self.USER, TASK, self.EDGE, beta, 2.0e9, 0.1, self.CFG)
-        coin = _Source(0, 0, self.USER, TASK, self.EDGE, beta, 2.0e9, 0.1, self.CFG)
+        skip = _Source(0, self.USER, TASK, self.EDGE, beta, 2.0e9, 0.1, self.CFG)
+        coin = _Source(0, self.USER, TASK, self.EDGE, beta, 2.0e9, 0.1, self.CFG)
         coin.beta = coin_beta
-        for got, expect in zip(drain(skip), drain(coin)):
+        (local, jobs), (coin_local, coin_jobs) = drain(skip), drain(coin)
+        for got, expect in zip((local, *jobs), (coin_local, *coin_jobs)):
             assert np.array_equal(got, expect)
 
 
@@ -258,26 +274,108 @@ class TestMerge:
         concatenation, however the runs arrive and are released."""
         runs = [[1.0, 2.0, 2.0, 3.0], [2.0, 2.0, 4.0], [0.5, 2.0, 3.0, 3.0]]
         ids = np.cumsum([0] + [len(r) for r in runs])
-        jobs = [
-            np.vstack((r, np.arange(lo, lo + len(r)), np.zeros(len(r)), np.zeros(len(r))))
-            for r, lo in zip(runs, ids)
-        ]
+        # each job's id rides in its service
+        jobs = [(np.array(r), np.arange(lo, lo + len(r), dtype=float), np.zeros(len(r)))
+                for r, lo in zip(runs, ids)]
         # user 1's first 2.0 waits at bound 2.0 while user 0's 2.0s are
         # still to be drawn: releasing it (<=) would put it before them
         first = [1, 1, 2]
-        pending = [j[:, :k] for j, k in zip(jobs, first)]
-        released, pending = _merge(pending, 2.0)
+        pending = [[(*(row[:k] for row in j), None)] for j, k in zip(jobs, first)]
+        released, _ = _merge(pending, 2.0)
         order = [released[1]]
-        released, pending = _merge(pending, 2.0)
+        released, _ = _merge(pending, 2.0)
         order.append(released[1])
-        pending = [np.concatenate((p, j[:, k:]), axis=1)
-                   for p, j, k in zip(pending, jobs, first)]
+        for waiting, j, k in zip(pending, jobs, first):
+            waiting.append((*(row[k:] for row in j), None))
         for bound in (3.0, math.inf):
-            released, pending = _merge(pending, bound)
+            released, _ = _merge(pending, bound)
             order.append(released[1])
-        assert all(p.shape[1] == 0 for p in pending)
+        assert pending == [[], [], []]
         expect = np.argsort(np.concatenate(runs), kind="stable")
         assert np.array_equal(np.concatenate(order), expect)
+
+
+class TestWarmup:
+    """Warmup jobs are left out by identity, also when a sort on departure
+    moves one behind jobs that count."""
+
+    USER = UserProfile(arrival_rate=20.0, local_cpu_hz=1.0e9)
+    EDGE = EdgeProfile(cpu_hz=1.0e9)
+    QOS = QosTarget(delay_s=0.1, min_reliability=0.9)
+    LATE_S = 1.0  # ten offloaded jobs' gaps, and far past the delay budget
+
+    class Late:
+        """A transmission queue whose first chunk's job `late` departs
+        LATE_S late."""
+
+        def __init__(self, queue, late):
+            self.queue, self.late = queue, late
+
+        def sojourn(self, arrivals, services):
+            sojourns = self.queue.sojourn(arrivals, services)
+            if self.late is not None:
+                sojourns[self.late] += TestWarmup.LATE_S
+                self.late = None
+            return sojourns
+
+    def reference(self, src, cfg):
+        """src's post-warmup local jobs within the budget, the index of its
+        last offloaded warmup job, and its offloaded jobs (departure,
+        service, arrival, warmup) with that job LATE_S late, all drawn over
+        the whole run at once."""
+        streams = [_stream(cfg.seed, src.user_id, stage) for stage in range(_N_STAGES)]
+        n = cfg.n_jobs
+        arrivals = np.cumsum(streams[_PH_ARRIVAL].exponential(1.0 / src.lam, n))
+        offloaded = streams[_PH_OFFLOAD].random(n) < src.beta
+        warm = np.arange(n) < cfg.warmup  # the first arrivals
+        kept = arrivals[~offloaded]
+        local = _Queue().sojourn(
+            kept, streams[_PH_LOCAL].exponential(1.0 / src.mu_l, kept.size))
+        n_ok = np.count_nonzero((local <= self.QOS.delay_s) & ~warm[~offloaded])
+        sent = arrivals[offloaded]
+        departures = _Queue().sojourn(
+            sent, streams[_PH_TX].exponential(1.0 / src.tx_rate, sent.size))
+        late = np.count_nonzero(offloaded[: cfg.warmup]) - 1
+        departures[late] += self.LATE_S
+        departures += sent
+        services = streams[_PH_EDGE].exponential(1.0 / src.mu_m, sent.size)
+        return n_ok, late, (departures, services, sent, warm[offloaded])
+
+    def edge_counts(self, jobs):
+        """Each user's post-warmup offloaded jobs within the budget, through
+        one edge queue in a stable sort on departure of the users' jobs."""
+        departures, services, arrivals, warm = (np.concatenate(rows) for rows in zip(*jobs))
+        users = np.repeat(np.arange(len(jobs)), [run[0].size for run in jobs])
+        order = np.argsort(departures, kind="stable")
+        done = _Queue().sojourn(departures[order], services[order])
+        done += departures[order]
+        done -= arrivals[order]
+        counted = (done <= self.QOS.delay_s) & ~warm[order]
+        return np.bincount(users[order][counted], minlength=len(jobs))
+
+    # the late job departs after its chunk's last arrival, or within it
+    @pytest.mark.parametrize("chunk", [100, 1 << 14], ids=["held_back", "in_its_chunk"])
+    @pytest.mark.parametrize("mode", [ISOLATED, SHARED_EDGE])
+    def test_late_warmup_job_is_left_out(self, monkeypatch, chunk, mode):
+        monkeypatch.setattr(tp.simulator, "_CHUNK", chunk)
+        cfg = SimConfig(n_jobs=2_000, warmup=100, seed=4, mode=mode)
+        group = [_Source(k, self.USER, TASK, self.EDGE, 0.5, 2.0e9, self.QOS.delay_s, cfg)
+                 for k in range(3)]
+        local, offloaded = [], []
+        for src in group:
+            n_ok, late, jobs = self.reference(src, cfg)
+            assert jobs[0][late] > jobs[0][late + 1]  # behind a job that counts
+            src.tx = self.Late(src.tx, late)
+            local.append(n_ok)
+            offloaded.append(jobs)
+        if mode == ISOLATED:
+            expect = [ok + self.edge_counts([jobs])[0] for ok, jobs in zip(local, offloaded)]
+            rows = [_simulate_group([src], self.QOS, cfg)[0] for src in group]
+        else:
+            expect = np.add(local, self.edge_counts(offloaded)).tolist()
+            rows = _simulate_group(group, self.QOS, cfg)
+        n_eff = cfg.n_jobs - cfg.warmup
+        assert [row.empirical for row in rows] == [ok / n_eff for ok in expect]
 
 
 class TestSimulateUser:
@@ -552,7 +650,7 @@ class TestThreads:
         stop.set()
         cfg = SimConfig(n_jobs=10_000, warmup=100)
         user = UserProfile(arrival_rate=20.0, local_cpu_hz=1.0e9)
-        src = _Source(0, 0, user, TASK, EdgeProfile(cpu_hz=1.0e9), 0.5, 2.0e9, 0.1, cfg)
+        src = _Source(0, user, TASK, EdgeProfile(cpu_hz=1.0e9), 0.5, 2.0e9, 0.1, cfg)
         qos = QosTarget(delay_s=0.1, min_reliability=0.9)
         assert _simulate_group([src], qos, cfg, stop) == []
         assert src.left == cfg.n_jobs
@@ -615,7 +713,7 @@ class TestProducer:
         stop.set()
         cfg = SimConfig(n_jobs=10_000, warmup=100)
         user = UserProfile(arrival_rate=20.0, local_cpu_hz=1.0e9)
-        group = [_Source(k, k, user, TASK, EdgeProfile(cpu_hz=1.0e9), 0.5, 2.0e9, 0.1, cfg)
+        group = [_Source(k, user, TASK, EdgeProfile(cpu_hz=1.0e9), 0.5, 2.0e9, 0.1, cfg)
                  for k in range(2)]
         qos = QosTarget(delay_s=0.1, min_reliability=0.9)
         before = threading.enumerate()
