@@ -18,6 +18,7 @@ from .channel import (
     attenuation_crossover,
     attenuation_derivative,
     data_rate,
+    distance_matrix,
     gaseous_attenuation,
     link_budget_db,
     path_loss,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 from .numerics import _false_position, lambert_w, lambert_w_log
 
@@ -192,9 +192,23 @@ def achievable_distance(
     overflows, W0 is taken from its logarithm.  A negative absorption fit
     gives 0.
     """
-    _check_freq(freq_ghz)
-    chi = link_budget_db(radio, rate_bps)
-    gamma_m = gaseous_attenuation(fit, freq_ghz) / 1000.0  # dB/m
+    gamma = gaseous_attenuation(fit, freq_ghz)  # checks the carrier first
+    return _distance_cell(link_budget_db(radio, rate_bps), gamma, freq_ghz)
+
+
+def distance_matrix(
+    fit: GaussianFit, radio: RadioParams, freqs_ghz: Sequence[float], rates_bps: Sequence[float]
+) -> List[List[float]]:
+    """achievable_distance of each rate (rows) on each carrier (columns), bit for
+    bit, from one link budget per rate, one absorption per carrier and one W per cell."""
+    gammas = [gaseous_attenuation(fit, f) for f in freqs_ghz]
+    chis = [link_budget_db(radio, r) for r in rates_bps]
+    return [[_distance_cell(chi, g, f) for g, f in zip(gammas, freqs_ghz)] for chi in chis]
+
+
+def _distance_cell(chi: float, gamma_db_per_km: float, freq_ghz: float) -> float:
+    """achievable_distance from the link budget chi (dB) and the absorption."""
+    gamma_m = gamma_db_per_km / 1000.0  # dB/m
     freq_hz = freq_ghz * 1e9
     scale = gamma_m * _LN10 / 20.0
     log_gain = chi * (_LN10 / 20.0)  # ln 10^(chi/20)

@@ -277,13 +277,20 @@ def minimize_scalar(
     return x, value_of(x)
 
 
-def min_cost_assignment(cost: Sequence[Sequence[float]]) -> Tuple[int, ...]:
+def min_cost_assignment(
+    cost: Sequence[Sequence[float]],
+) -> Tuple[Tuple[int, ...], Tuple[float, ...], Tuple[float, ...]]:
     """Distinct column for each row of a K x M cost matrix (K <= M), least total.
 
     Hungarian method in shortest-augmenting-path form (Kuhn 1955; Jonker &
     Volgenant 1987): each row joins along the cheapest path in reduced
     costs, O(K^2 M) in all.  Costs must be finite: an infinite one would
     keep the path search from ever reaching a free column.
+
+    Returns (columns, u, v).  The row and column potentials u, v solve the
+    dual LP and so certify the optimum (Burkard, Dell'Amico & Martello 2009,
+    ch. 4): u_i + v_j <= cost[i][j] on every cell, with equality on the
+    assigned pairs, and v_j <= 0, with v_j = 0 on the free columns.
     """
     k = len(cost)
     m = len(cost[0]) if k else 0
@@ -322,4 +329,4 @@ def min_cost_assignment(cost: Sequence[Sequence[float]]) -> Tuple[int, ...]:
             row_of[j0] = row_of[way[j0]]
             j0 = way[j0]
     col_of = {row_of[j]: j - 1 for j in range(1, m + 1)}
-    return tuple(col_of[i] for i in range(1, k + 1))
+    return tuple(col_of[i] for i in range(1, k + 1)), tuple(u[1:]), tuple(v[1:])

@@ -6,22 +6,23 @@ queueing side and the radio side), then carriers go to users by an exact
 assignment solve over the whole grid that maximizes total distance.  Where
 distance has increasing differences in (rate, carrier) that optimum is the
 paper's sorted matching, `assign_frequencies`, which tests and demos
-compare against.  `brute_force_assignment` is the independent check of the
-optimum (its name predates the solver and is kept for the benchmark tracer).
+compare against.  The plan keeps its solve with the solver's potentials,
+which `verify` checks as an LP-duality certificate of the optimum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import List, Optional, Sequence, Tuple
 
 from .channel import (
     DEFAULT_ATTENUATION_FIT,
     FrequencyGrid,
     GaussianFit,
     RadioParams,
-    achievable_distance,
+    achievable_distance,  # unused; bench/tracer.py TRACED expects optimizer to bind it
+    distance_matrix,
 )
 from .numerics import min_cost_assignment, minimize_scalar
 from .reliability import (
@@ -85,13 +86,19 @@ class UserPlan:
 
 @dataclass(frozen=True)
 class Plan:
-    """Joint plan: per-user decisions plus system-level flags."""
+    """Joint plan: per-user decisions plus system-level flags.
+
+    assignment, left out of ==, repr and hash, is the carrier solve (negated
+    distances, columns, row and column potentials) over the feasible users
+    by ascending rate, or None when no user is rate-constrained.
+    """
 
     users: Tuple[UserPlan, ...]
     total_distance_m: float
     edge_stable: bool
     forced_full_offload: bool
     warnings: Tuple[str, ...] = ()
+    assignment: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 def minimize_rate_threshold(scenario: Scenario, user_index: int) -> Tuple[float, float]:
@@ -171,7 +178,7 @@ def _distances(
     Raises ValueError for a distance beyond the float range (a link budget
     that overflows on a fit without absorption), which no assignment can rank.
     """
-    dist = [[achievable_distance(fit, radio, f, r) for f in grid.freqs_ghz] for r in rates]
+    dist = distance_matrix(fit, radio, grid.freqs_ghz, rates)
     for r, row in zip(rates, dist):
         for f, d in zip(grid.freqs_ghz, row):
             if not math.isfinite(d):
@@ -197,16 +204,12 @@ def brute_force_assignment(
     radio: RadioParams,
     fit: GaussianFit = DEFAULT_ATTENUATION_FIT,
 ) -> BruteForceResult:
-    """Best and worst injective user->carrier maps over the whole grid.
-
-    The independent check that sorted matching is optimal (and the reversed
-    order pessimal) under increasing differences: two exact assignment
-    solves, on negated and on plain distances.  No permutation is
-    enumerated; the name is kept because the benchmark tracer binds it.
-    """
+    """Best and worst injective user->carrier maps over the whole grid, from
+    two exact assignment solves (tests and demos compare sorted matching with
+    them; nothing is enumerated, and the benchmark tracer binds the name)."""
     dist = _distances(thresholds, grid, radio, fit)
-    best = min_cost_assignment([[-d for d in row] for row in dist])
-    worst = min_cost_assignment(dist)
+    best = min_cost_assignment([[-d for d in row] for row in dist])[0]
+    worst = min_cost_assignment(dist)[0]
     assignment = tuple(grid.freqs_ghz[j] for j in best)
     return BruteForceResult(
         assignment,
@@ -259,12 +262,15 @@ def plan(scenario: Scenario, force_offload_all: bool = False) -> Plan:
     freqs = [math.nan] * k_users
     dists = [0.0] * k_users
     cols: Tuple[int, ...] = ()
+    assignment = None
     if constrained:
         rates = [outcomes[k][2] for k in constrained]
         matrix = _distances(rates, scenario.grid, scenario.radio, scenario.fit)
-        best = min_cost_assignment([[-d for d in row] for row in matrix])
+        cost = [[-d for d in row] for row in matrix]
+        best, u, v = min_cost_assignment(cost)
         # equal rates are interchangeable: ascending carriers in user order
         cols = tuple(j for _, j in sorted(zip(rates, best)))
+        assignment = (cost, cols, u, v)
         for k, row, j in zip(constrained, matrix, cols):
             freqs[k], dists[k] = grid[j], row[j]
     # the unconstrained get the top leftovers; any carrier works for them
@@ -317,6 +323,7 @@ def plan(scenario: Scenario, force_offload_all: bool = False) -> Plan:
         edge_stable=edge_stable,
         forced_full_offload=force_offload_all,
         warnings=tuple(warnings),
+        assignment=assignment,
     )
 
 

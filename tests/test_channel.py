@@ -5,7 +5,9 @@ same seven-term Gaussian coefficients and are trusted as oracles here.
 """
 
 import dataclasses
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,11 +22,14 @@ from thzplanner import (
     attenuation_crossover,
     attenuation_derivative,
     data_rate,
+    distance_matrix,
     gaseous_attenuation,
     link_budget_db,
     path_loss,
     supermodularity_gap,
 )
+from thzplanner.optimizer import _distances
+from thzplanner.scenario_io import load_scenario, scenario_from_dict
 
 # mpmath mp.dps=50 references
 GAMMA_100 = 7.3613350774870
@@ -36,6 +41,7 @@ CROSSOVER_GHZ = 216.56919282753
 
 RADIO = tp.reference_radio()
 ZERO_FIT = GaussianFit(terms=((0.0, 500.0, 1.0),) * 7)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def find_root(f, lo, hi, tol=1e-10):
@@ -255,6 +261,84 @@ class TestDistanceInversion:
         d3 = achievable_distance(DEFAULT_ATTENUATION_FIT, RADIO, 190.0, 1e8)
         assert d1 > d2
         assert d1 > d3
+
+
+def load_generator():
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def cellwise(fit, radio, freqs, rates):
+    return [[achievable_distance(fit, radio, f, r) for f in freqs] for r in rates]
+
+
+class TestDistanceMatrix:
+    """distance_matrix factors each rate's link budget and each carrier's
+    absorption out of the cells; every cell must stay achievable_distance's
+    own value, compared with ==."""
+
+    RATES = [10.0 ** (6.0 + q / 4.0) for q in range(29)]  # 1e6 .. 1e13 bit/s
+
+    @pytest.mark.parametrize("name", ["reference_k10", "strict_infeasible_k10", "single_user"])
+    def test_shipped_scenarios(self, name):
+        sc = load_scenario(str(ROOT / "scenarios" / f"{name}.yaml"))
+        freqs = sc.grid.freqs_ghz
+        assert distance_matrix(sc.fit, sc.radio, freqs, self.RATES) == cellwise(
+            sc.fit, sc.radio, freqs, self.RATES
+        )
+
+    @pytest.mark.parametrize("workload,seed", [("plan", 3), ("plan", 7), ("verify", 2)])
+    def test_generated_scenarios(self, workload, seed):
+        gen = load_generator()
+        for index in range(150):
+            sc = scenario_from_dict(gen.make(workload, seed, index)[0])
+            freqs = sc.grid.freqs_ghz
+            got = distance_matrix(sc.fit, sc.radio, freqs, self.RATES)
+            assert got == cellwise(sc.fit, sc.radio, freqs, self.RATES), index
+
+    def test_zero_absorption_is_free_space_and_inf_past_the_float_range(self):
+        freqs = (100.0, 150.0, 560.0, 1000.0)
+        got = distance_matrix(ZERO_FIT, RADIO, freqs, self.RATES)
+        assert got == cellwise(ZERO_FIT, RADIO, freqs, self.RATES)
+        for r, row in zip(self.RATES, got):
+            gain = math.exp(link_budget_db(RADIO, r) * (math.log(10.0) / 20.0))
+            assert row == [gain / (f * 1e9) for f in freqs]
+        huge = dataclasses.replace(RADIO, noise_dbm=-10000.0)
+        got = distance_matrix(ZERO_FIT, huge, freqs, [1e9])
+        assert got == cellwise(ZERO_FIT, huge, freqs, [1e9]) == [[math.inf] * 4]
+
+    def test_negative_absorption_gives_zero(self):
+        fit = GaussianFit(terms=((-5.0, 150.0, 100.0),) + ((0.0, 500.0, 1.0),) * 6)
+        freqs = (100.0, 150.0, 210.0)
+        got = distance_matrix(fit, RADIO, freqs, self.RATES)
+        assert got == cellwise(fit, RADIO, freqs, self.RATES)
+        assert got == [[0.0] * 3] * len(self.RATES)
+
+    def test_overflowing_argument_takes_w_from_its_logarithm(self):
+        huge = dataclasses.replace(RADIO, noise_dbm=-10000.0)
+        freqs = (100.0, 190.0, 560.0)
+        assert all(link_budget_db(huge, r) / 20.0 > 308.0 for r in self.RATES)
+        got = distance_matrix(DEFAULT_ATTENUATION_FIT, huge, freqs, self.RATES)
+        assert got == cellwise(DEFAULT_ATTENUATION_FIT, huge, freqs, self.RATES)
+        assert all(math.isfinite(d) and d > 0.0 for row in got for d in row)
+
+    def test_planner_matrix_refuses_a_cell_beyond_the_float_range(self):
+        huge = dataclasses.replace(RADIO, noise_dbm=-10000.0)
+        grid = FrequencyGrid(freqs_ghz=(100.0, 150.0))
+        with pytest.raises(
+            ValueError,
+            match=r"^coverage distance on carrier 100 GHz at rate 1e\+09 bit/s"
+            r" is beyond the float range$",
+        ):
+            _distances([1e9], grid, huge, ZERO_FIT)
+
+    def test_checks_carrier_and_rate_like_the_single_cell(self):
+        with pytest.raises(ValueError, match="outside fit validity"):
+            distance_matrix(DEFAULT_ATTENUATION_FIT, RADIO, (150.0, 1200.0), [1e9])
+        with pytest.raises(ValueError, match="rate must be positive"):
+            distance_matrix(DEFAULT_ATTENUATION_FIT, RADIO, (150.0,), [1e9, 0.0])
 
 
 class TestSupermodularity:

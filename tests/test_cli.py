@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import thzplanner as tp
-from thzplanner import ScenarioFormatError, cli, load_scenario, scenario_from_dict
+from thzplanner import ScenarioFormatError, cli, load_scenario, optimizer, scenario_from_dict
 
 REFERENCE = "scenarios/reference_k10.yaml"
 STRICT = "scenarios/strict_infeasible_k10.yaml"
@@ -631,6 +631,44 @@ class TestVerifyCommand:
         assert re.search(
             r"^FAIL planned assignment differs from the exact optimum by \S+ rel$", out, re.M
         )
+        assert "verification FAILED: 1 check(s)" in out
+
+    def test_perturbed_potential_fails_the_certificate(self, capsys, monkeypatch):
+        real_plan = cli.plan
+
+        def perturbed(scenario, **kwargs):
+            p = real_plan(scenario, **kwargs)
+            cost, cols, u, v = p.assignment
+            u = (u[0] + 1.0,) + u[1:]  # one row potential 1 m off
+            return dataclasses.replace(p, assignment=(cost, cols, u, v))
+
+        monkeypatch.setattr(cli, "plan", perturbed)
+        assert cli.main(["verify", REFERENCE]) == 4
+        out = capsys.readouterr().out
+        assert re.search(
+            r"^FAIL assignment potentials miss the optimality certificate by 1\.0\d*e\+00 m$",
+            out,
+            re.M,
+        )
+        assert "ok   planned assignment" not in out
+        assert "verification FAILED: 1 check(s)" in out
+
+    def test_solver_returning_a_swapped_pair_fails_the_certificate(self, capsys, monkeypatch):
+        real_solver = optimizer.min_cost_assignment
+
+        def swapped(cost):
+            cols, u, v = real_solver(cost)
+            cols = (cols[1], cols[0]) + cols[2:]
+            return cols, u, v
+
+        monkeypatch.setattr(optimizer, "min_cost_assignment", swapped)
+        assert cli.main(["verify", REFERENCE]) == 4
+        out = capsys.readouterr().out
+        assert re.search(
+            r"^FAIL assignment potentials miss the optimality certificate by \S+ m$", out, re.M
+        )
+        # the carriers it reports are the solve's, so the totals agree
+        assert "FAIL planned assignment differs" not in out
         assert "verification FAILED: 1 check(s)" in out
 
     def test_missing_file_exits_1(self):

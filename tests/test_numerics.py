@@ -426,6 +426,15 @@ class TestFalsePosition:
         assert g(a) <= 0.0 <= g(b)
 
 
+def certificate_miss(cost, cols, u, v):
+    """Largest breach of the LP-duality conditions min_cost_assignment states."""
+    return max(
+        max(u[i] + v[j] - c for i, row in enumerate(cost) for j, c in enumerate(row)),
+        max(abs(u[i] + v[j] - cost[i][j]) for i, j in enumerate(cols)),
+        max(x if j in cols else abs(x) for j, x in enumerate(v)),
+    )
+
+
 class TestMinCostAssignment:
     def test_matches_scipy_on_rectangular_and_tied_costs(self):
         rng = np.random.default_rng(1987)
@@ -434,14 +443,41 @@ class TestMinCostAssignment:
             cost = rng.normal(size=(k, k + int(rng.integers(0, 6))))
             if trial % 2:
                 cost = np.round(cost)  # many equal-cost optima
-            cols = min_cost_assignment(cost.tolist())
+            cols = min_cost_assignment(cost.tolist())[0]
             assert len(set(cols)) == k
             rows, ref = linear_sum_assignment(cost)
             got = cost[np.arange(k), list(cols)].sum()
             assert got == pytest.approx(cost[rows, ref].sum(), rel=1e-12, abs=1e-12)
 
+    def test_potentials_certify_the_optimum(self):
+        rng = np.random.default_rng(2009)
+        for trial in range(600):
+            k = int(rng.integers(1, 13))
+            m = int(rng.integers(k, 41))
+            cost = rng.normal(scale=10.0 ** rng.uniform(-3, 6), size=(k, m))
+            if trial % 3 == 1:
+                cost = np.round(cost)  # many equal-cost optima
+            elif trial % 3 == 2:
+                cost = rng.integers(0, 3, size=(k, m)).astype(float)  # ties everywhere
+            cols, u, v = min_cost_assignment(cost.tolist())
+            assert len(u) == k and len(v) == m and len(set(cols)) == k
+            scale = max(np.abs(cost).max(), 1e-300)
+            assert certificate_miss(cost.tolist(), cols, u, v) <= 1e-12 * scale, trial
+            rows, ref = linear_sum_assignment(cost)
+            best = cost[rows, ref].sum()
+            got = cost[np.arange(k), list(cols)].sum()
+            assert got == pytest.approx(best, rel=1e-12, abs=1e-12 * scale)
+            # weak duality: the potentials bound every assignment from below
+            assert math.fsum(u) + math.fsum(v) == pytest.approx(best, rel=1e-12, abs=1e-12 * scale)
+
+    def test_certificate_catches_a_suboptimal_pair(self):
+        cost = [[4.0, 1.0, 6.0], [2.0, 0.0, 5.0]]
+        cols, u, v = min_cost_assignment(cost)
+        assert certificate_miss(cost, cols, u, v) == 0.0
+        assert certificate_miss(cost, cols[::-1], u, v) > 0.0
+
     def test_picks_the_off_diagonal_optimum(self):
-        assert min_cost_assignment([[4.0, 1.0, 6.0], [2.0, 0.0, 5.0]]) == (1, 0)
+        assert min_cost_assignment([[4.0, 1.0, 6.0], [2.0, 0.0, 5.0]])[0] == (1, 0)
 
     @pytest.mark.parametrize("cost", [[], [[1.0], [2.0]]])
     def test_needs_rows_at_most_columns(self, cost):

@@ -457,6 +457,27 @@ class TestPlan:
     def test_plan_is_deterministic(self):
         assert plan(REF) == plan(REF)
 
+    def test_kept_solve_is_left_out_of_eq_repr_and_hash(self):
+        p = plan(REF)
+        cost, cols, u, v = p.assignment
+        feasible = [row for row in p.users if row.status == FEASIBLE]
+        assert len(cost) == len(cols) == len(u) == len(feasible)
+        assert len(v) == len(REF.grid)
+        # rows by ascending rate, each holding its user's carrier
+        by_rate = sorted(feasible, key=lambda row: (row.rate_bps, row.user_id))
+        assert [REF.grid.freqs_ghz[j] for j in cols] == [row.freq_ghz for row in by_rate]
+        assert [-cost[i][j] for i, j in enumerate(cols)] == [row.distance_m for row in by_rate]
+        bare = dataclasses.replace(p, assignment=None)
+        assert p == bare and hash(p) == hash(bare) and repr(p) == repr(bare)
+        assert "assignment" not in repr(p)
+
+    def test_no_solve_is_kept_without_a_constrained_user(self):
+        sc = dataclasses.replace(REF, users=REF.users[:1])
+        sc = tp.apply_axis(sc, "theta_th", 0.5)  # met locally: no link needed
+        p = plan(sc)
+        assert [row.status for row in p.users] == ["unconstrained"]
+        assert p.assignment is None
+
     def test_forced_full_offload_never_wins(self):
         p_opt = plan(REF)
         p_forced = plan(REF, force_offload_all=True)
