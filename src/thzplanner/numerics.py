@@ -16,7 +16,6 @@ independent oracles used in the test suite.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable, Sequence, Tuple
 
@@ -194,6 +193,18 @@ def _false_position(
     return a, b
 
 
+def _memo(fn: Callable[[float], float]) -> Callable[[float], float]:
+    """fn, evaluated once per point; cheaper to build than functools.cache."""
+    seen = {}
+
+    def at(x: float) -> float:
+        if x not in seen:
+            seen[x] = fn(x)
+        return seen[x]
+
+    return at
+
+
 def minimize_scalar(
     f: Callable[[float], float],
     lo: float,
@@ -229,18 +240,11 @@ def minimize_scalar(
     if not lo < hi:
         raise ValueError("need lo < hi")
 
-    # each point is evaluated once: the steps revisit points
-    @functools.cache
-    def value_of(x: float) -> float:
-        v = f(x)
-        return v if v == v else math.inf
-
-    @functools.cache
-    def slope_at(x: float) -> float:
-        return slope(x, value_of(x))
-
-    margin_at = functools.cache(margin)
-    margin_slope_at = functools.cache(margin_slope)
+    # each point is evaluated once: the steps revisit points; nan counts as inf
+    value_of = _memo(lambda x: v if (v := f(x)) == v else math.inf)
+    slope_at = _memo(lambda x: slope(x, value_of(x)))
+    margin_at = _memo(margin)
+    margin_slope_at = _memo(margin_slope)
 
     def usable(x: float) -> bool:
         return margin_at(x) > 0.0 and value_of(x) < math.inf

@@ -157,7 +157,7 @@ def _local_net_rate(user: UserProfile, task: TaskProfile, beta: float) -> float:
     return net
 
 
-def _edge_tail(rates: QueueRates, epsilon_s: float) -> Tuple[float, float]:
+def _edge_tail(u: float, v: float, epsilon_s: float) -> Tuple[float, float]:
     """The two nonnegative terms of P(tandem sojourn > epsilon), (e_v, rest):
 
         e_v = e^(-v eps),  rest = v e^(-v eps) * expm1((v - u) eps) / (v - u)
@@ -165,7 +165,6 @@ def _edge_tail(rates: QueueRates, epsilon_s: float) -> Tuple[float, float]:
     with the u = v limit rest = v eps e^(-v eps).  Raises StabilityError when
     either net rate is not positive.
     """
-    u, v = rates.u, rates.v
     if u <= 0.0:
         raise StabilityError(f"transmission queue unstable: net rate u = {u:.6g} <= 0")
     if v <= 0.0:
@@ -195,7 +194,7 @@ def edge_reliability(rates: QueueRates, epsilon_s: float) -> float:
 
     with the u = v limit 1 - e^(-v eps) - v eps e^(-v eps).
     """
-    rest = _edge_tail(rates, epsilon_s)[1]
+    rest = _edge_tail(rates.u, rates.v, epsilon_s)[1]
     return -math.expm1(-rates.v * epsilon_s) - rest
 
 
@@ -380,7 +379,7 @@ def rate_threshold(
     return max(root, floor_rate)
 
 
-def _tail_rate_slope(rates: QueueRates, epsilon_s: float) -> float:
+def _tail_rate_slope(u: float, v: float, epsilon_s: float) -> float:
     """d(tail)/du of the tandem tail e_v + rest, at a fixed v:
 
         -v eps^2 e^(-u eps) g((v - u) eps),  g(x) = (e^(-x) - 1 + x) / x^2
@@ -389,7 +388,6 @@ def _tail_rate_slope(rates: QueueRates, epsilon_s: float) -> float:
     since the closed form cancels there; elsewhere e^(-u eps) g(x) is formed
     as (e^(-v eps) - e^(-u eps) (1 - x)) / x^2, which cannot overflow.
     """
-    u, v = rates.u, rates.v
     x = (v - u) * epsilon_s
     e_u = math.exp(-u * epsilon_s)
     if abs(x) < 0.1:
@@ -431,16 +429,16 @@ def rate_slope(
     if rate <= offered * bits * (1.0 + STABILITY_MARGIN):
         return lam * bits * (1.0 + STABILITY_MARGIN)
     eps = qos.delay_s
-    rates = queue_rates(user, task, edge, beta, rate)
-    e_v, rest = _edge_tail(rates, eps)
+    u, v = rate / bits - offered, edge.service_rate(task) - offered
+    e_v, rest = _edge_tail(u, v, eps)
     tail = e_v + rest
     local = user.local_service_rate(task) - (1.0 - beta) * lam
     dm_dbeta = (
         tail * (1.0 + offered * eps)
-        - offered * rest / rates.v
+        - offered * rest / v
         - math.exp(-local * eps) * (1.0 + (1.0 - beta) * lam * eps)
     )
-    dm_drate = beta * _tail_rate_slope(rates, eps) / bits
+    dm_drate = beta * _tail_rate_slope(u, v, eps) / bits
     if dm_drate == 0.0:  # the tail underflowed; its sign is all that is left
         return math.copysign(math.inf, dm_dbeta)
     return -dm_dbeta / dm_drate
@@ -462,7 +460,7 @@ def rate_threshold_oracle(
     form.  Expands the bracket upward from the stability floor and raises
     InfeasibleError once the required rate exceeds 1e15 bit/s.
     """
-    mu_m, _, floor_rate, budget, _ = _edge_target(user, task, edge, qos, beta)
+    mu_m, offered, floor_rate, budget, _ = _edge_target(user, task, edge, qos, beta)
     if budget >= 1.0:
         return floor_rate
     eps = qos.delay_s
@@ -470,15 +468,16 @@ def rate_threshold_oracle(
     local_miss = 0.0
     if beta < 1.0:
         local_miss = (1.0 - beta) * math.exp(-_local_net_rate(user, task, beta) * eps)
+    v, bits = mu_m - offered, task.mean_job_bits
 
     def gap(rate: float) -> float:
-        e_v, rest = _edge_tail(queue_rates(user, task, edge, beta, rate), eps)
+        e_v, rest = _edge_tail(rate / bits - offered, v, eps)
         return miss - (local_miss + beta * (e_v + rest))
 
     lo = max(floor_rate, 1e-12)
     if gap(lo) >= 0.0:
         return lo
-    hi = max(2.0 * lo, mu_m * task.mean_job_bits)
+    hi = max(2.0 * lo, mu_m * bits)
     while gap(hi) < 0.0:
         hi *= 2.0
         if hi > 1e15:

@@ -7,6 +7,7 @@ discrepancy, 4 verification failure.
 
 import csv
 import dataclasses
+import importlib.util
 import math
 import os
 import re
@@ -95,6 +96,13 @@ def zero_fit_yaml(tmp_path):
     path = tmp_path / "zero_fit.yaml"
     path.write_text(text)
     return str(path)
+
+
+def load_generator():
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def read_csv(path):
@@ -581,16 +589,55 @@ class TestVerifyCommand:
         p = tp.plan(load_scenario(str(path)))
         assert p.users[0].rate_bps == p.users[1].rate_bps
         seen = []
-        real_gap = cli.supermodularity_gap
+        real_matrix = cli.distance_matrix
 
-        def recording_gap(fit, radio, rate_lo, rate_hi, f_lo, f_hi):
-            seen.append((rate_lo, rate_hi))
-            return real_gap(fit, radio, rate_lo, rate_hi, f_lo, f_hi)
+        def recording_matrix(fit, radio, freqs, rates):
+            if len(rates) == 2:  # the round trip asks for seven decades
+                seen.append(tuple(rates))
+            return real_matrix(fit, radio, freqs, rates)
 
-        monkeypatch.setattr(cli, "supermodularity_gap", recording_gap)
+        monkeypatch.setattr(cli, "distance_matrix", recording_matrix)
         assert cli.main(["verify", str(path)]) == 0
         assert seen and all(lo < hi for lo, hi in seen)
         assert "mixed differences positive" in capsys.readouterr().out
+
+    @staticmethod
+    def gap_minimum(sc, result):
+        """min of supermodularity_gap over adjacent carriers, at the plan's
+        lowest and highest rates, or at 1e8 and 1e9 bit/s where they are equal."""
+        rates = sorted(row.rate_bps for row in result.users if row.status == tp.FEASIBLE)
+        if len(rates) < 2 or rates[0] == rates[-1]:
+            rates = [1.0e8, 1.0e9]
+        freqs = sc.grid.freqs_ghz
+        return min(
+            tp.supermodularity_gap(sc.fit, sc.radio, rates[0], rates[-1], a, b)
+            for a, b in zip(freqs, freqs[1:])
+        )
+
+    def test_mixed_differences_are_supermodularity_gaps(self, tmp_path):
+        """The check reads its cells off the plan's own rows, yet reports
+        supermodularity_gap's smallest value bit for bit: on the shipped
+        scenarios, on generated ones, on equal rates, and on the water-line
+        fit, where it is negative."""
+        (tmp_path / "twins.yaml").write_text(TWIN_USERS_YAML)
+        scenarios = [load_scenario(str(ROOT / name)) for name in (REFERENCE, STRICT, SINGLE)]
+        scenarios += [
+            load_scenario(water_line_yaml(tmp_path)),
+            load_scenario(str(tmp_path / "twins.yaml")),
+        ]
+        gen = load_generator()
+        scenarios += [scenario_from_dict(gen.make("verify", 4, i)[0]) for i in range(20)]
+        worst = []
+        for sc in scenarios:
+            result = tp.plan(sc)
+            got = cli._verify_supermodularity(sc, result, [])
+            if len(sc.grid.freqs_ghz) < 2:
+                assert got is None
+                continue
+            want = self.gap_minimum(sc, result)
+            assert repr(got) == repr(want)
+            worst.append(got)
+        assert len(worst) >= 20 and min(worst) < 0.0 < worst[0]
 
     def test_water_line_fit_passes_with_note(self, tmp_path, capsys):
         """Mixed differences turn negative next to the water line; the plan

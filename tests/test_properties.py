@@ -32,6 +32,7 @@ from thzplanner import (
     lambert_w,
     min_stable_share,
     minimize_rate_threshold,
+    queue_rates,
     rate_slope,
     rate_threshold,
     rate_threshold_oracle,
@@ -209,6 +210,127 @@ def test_oracle_matches_mpmath(bits, cycles, lam, f_l, f_m, eps, miss, beta):
     closed = rate_threshold(*args)
     if closed > beta * lam * bits * (1.0 + tp.reliability.STABILITY_MARGIN):
         assert abs(closed - exact) <= CLOSED_FORM_RTOL * exact
+
+
+def queue_rates_oracle(user, task, edge, qos, beta):
+    """rate_threshold_oracle with each bisection step forming the tandem's
+    net rates through queue_rates, as a QueueRates."""
+    rel = tp.reliability
+    mu_m, _, floor, budget, _ = rel._edge_target(user, task, edge, qos, beta)
+    if budget >= 1.0:
+        return floor
+    eps = qos.delay_s
+    miss = 1.0 - qos.min_reliability
+    local_miss = 0.0
+    if beta < 1.0:
+        local_miss = (1.0 - beta) * math.exp(-rel._local_net_rate(user, task, beta) * eps)
+
+    def gap(rate):
+        rates = queue_rates(user, task, edge, beta, rate)
+        e_v, rest = rel._edge_tail(rates.u, rates.v, eps)
+        return miss - (local_miss + beta * (e_v + rest))
+
+    lo = max(floor, 1e-12)
+    if gap(lo) >= 0.0:
+        return lo
+    hi = max(2.0 * lo, mu_m * task.mean_job_bits)
+    while gap(hi) < 0.0:
+        hi *= 2.0
+        if hi > 1e15:
+            raise InfeasibleError("no rate below 1e15 bit/s reaches the reliability target")
+    while (hi - lo) > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if gap(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def queue_rates_slope(user, task, edge, qos, beta, rate):
+    """rate_slope with the tandem's net rates formed as a QueueRates."""
+    rel = tp.reliability
+    lam, bits = user.arrival_rate, task.mean_job_bits
+    offered = beta * lam
+    if rate <= offered * bits * (1.0 + rel.STABILITY_MARGIN):
+        return lam * bits * (1.0 + rel.STABILITY_MARGIN)
+    eps = qos.delay_s
+    rates = queue_rates(user, task, edge, beta, rate)
+    e_v, rest = rel._edge_tail(rates.u, rates.v, eps)
+    tail = e_v + rest
+    local = user.local_service_rate(task) - (1.0 - beta) * lam
+    dm_dbeta = (
+        tail * (1.0 + offered * eps)
+        - offered * rest / rates.v
+        - math.exp(-local * eps) * (1.0 + (1.0 - beta) * lam * eps)
+    )
+    dm_drate = beta * rel._tail_rate_slope(rates.u, rates.v, eps) / bits
+    if dm_drate == 0.0:
+        return math.copysign(math.inf, dm_dbeta)
+    return -dm_dbeta / dm_drate
+
+
+def outcome(fn, *args):
+    """fn's value, or the type of what it raised (rate_slope is not defined
+    where the local queue is unstable, and may overflow there), with the
+    arguments of every call fn made to the tail terms, step by step."""
+    rel, calls = tp.reliability, []
+
+    def recorded(real):
+        def call(*a):
+            calls.append(a)
+            return real(*a)
+
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rel, "_edge_tail", recorded(rel._edge_tail))
+        mp.setattr(rel, "_tail_rate_slope", recorded(rel._tail_rate_slope))
+        try:
+            return fn(*args), calls
+        except (ArithmeticError, ValueError) as exc:
+            return type(exc), calls
+
+
+@FIXED
+@given(
+    bits=log_uniform(1e3, 1e9),
+    cycles=log_uniform(1e5, 1e9),
+    lam=log_uniform(1e-2, 1e4),
+    f_l=log_uniform(1e6, 1e11),
+    f_m=log_uniform(1e7, 1e16),
+    eps=log_uniform(1e-5, 10.0),
+    miss=log_uniform(1e-15, 0.99),
+    beta=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    # the rate as a multiple of mu_m L_a, where u = v
+    ratio=st.one_of(st.just(1.0), st.floats(1.0 - 1e-8, 1.0 + 1e-8), log_uniform(1e-9, 1e3)),
+)
+# beta = 1, and a rate at u = v to within one rounding
+@example(bits=8e6, cycles=1e7, lam=19.0, f_l=1.45e9, f_m=2e10, eps=0.08, miss=1e-5,
+         beta=1.0, ratio=1.0)
+# (v - u) eps = 1e8 at the floor: expm1 would overflow
+@example(bits=1e4, cycles=1e5, lam=0.1, f_l=1e3, f_m=1e16, eps=1.0, miss=1e-5,
+         beta=0.5, ratio=1e-9)
+def test_float_net_rates_change_no_bit(bits, cycles, lam, f_l, f_m, eps, miss, beta, ratio):
+    """The oracle's bisection and rate_slope take u and v as plain floats;
+    every value, and every step's u and v, is the one the QueueRates forms
+    give, compared with ==."""
+    args = (
+        UserProfile(arrival_rate=lam, local_cpu_hz=f_l),
+        TaskProfile(mean_job_bits=bits, mean_job_cycles=cycles),
+        EdgeProfile(cpu_hz=f_m),
+        QosTarget(delay_s=eps, min_reliability=1.0 - miss),
+        beta,
+    )
+    assert outcome(rate_threshold_oracle, *args) == outcome(queue_rates_oracle, *args)
+    rates = [f_m / cycles * bits * ratio]
+    closed = outcome(rate_threshold, *args)[0]
+    if isinstance(closed, float) and math.isfinite(closed):
+        rates.append(closed)
+    for rate in rates:
+        assert outcome(rate_slope, *args, rate) == outcome(queue_rates_slope, *args, rate)
 
 
 @FIXED
